@@ -51,13 +51,6 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _degree_bound(args):
-    if getattr(args, "degree_bound", None) is not None:
-        return args.degree_bound
-    env = os.environ.get("CK_DEGREE_BOUND")
-    return int(env) if env else None
-
-
 def cmd_algebra(args) -> int:
     g = _load_algebra(args.name)
     if args.json:
@@ -187,7 +180,7 @@ def cmd_expand(args) -> int:
         omega,
         expected_failure=args.expect_failure,
     )
-    report = run_expansion(problem, degree_bound=_degree_bound(args))
+    report = run_expansion(problem, degree_bound=args.degree_bound)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -196,13 +189,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    bound = _degree_bound(args)
     reports = []
     for name, initial, axis, omega, expected_failure in ATLAS:
         problem = make_problem(
             initial, axis, omega, name=name, expected_failure=expected_failure
         )
-        reports.append(run_expansion(problem, degree_bound=bound))
+        reports.append(run_expansion(problem, degree_bound=args.degree_bound))
     ok = all(r.ok for r in reports)
     if args.json:
         _emit_json(

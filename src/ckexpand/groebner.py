@@ -178,15 +178,6 @@ class ParamPoly:
             return False
         return (self.scale(olc) - other.scale(lc)).is_zero
 
-    def to_scalar(self) -> Scalar:
-        total = Scalar.zero()
-        for exps, coeff in self.terms.items():
-            mono = Scalar.one()
-            for sym, e in zip(self.unknowns, exps):
-                mono = mono * Scalar.symbol(sym) ** e
-            total = total + coeff * mono
-        return total
-
     def normalized(self) -> "ParamPoly":
         """Denominator-free form with content removed and positive lead.
 

@@ -1,22 +1,88 @@
-"""Kernel selection: compiled extension if available, pure Python otherwise.
+"""Term arithmetic: the dict-of-monomials operations under ``Poly``.
 
-Set ``CK_PURE_KERNEL=1`` to force the pure-Python kernel (used by the
-benchmark and to cross-check the two implementations).
+A multivariate polynomial is a dict mapping monomials to nonzero
+``fractions.Fraction`` coefficients.  A monomial is a tuple of
+``(symbol, exponent)`` pairs, sorted by symbol name, with all exponents
+positive; the empty tuple is the unit monomial.
 """
 
-import os
+# recorded by the benchmark as ckexpand.KERNEL_IMPLEMENTATION
+IMPLEMENTATION = "python"
 
-if os.environ.get("CK_PURE_KERNEL") == "1":
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
 
-IMPLEMENTATION = _impl.IMPLEMENTATION
-mono_mul = _impl.mono_mul
-terms_add = _impl.terms_add
-terms_neg = _impl.terms_neg
-terms_scale = _impl.terms_scale
-terms_mul = _impl.terms_mul
+def mono_mul(a, b):
+    """Product of two monomials (merge of sorted (symbol, exponent) runs)."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        sa, ea = a[i]
+        sb, eb = b[j]
+        if sa == sb:
+            out.append((sa, ea + eb))
+            i += 1
+            j += 1
+        elif sa < sb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def terms_add(ta, tb):
+    if not ta:
+        return dict(tb)
+    if not tb:
+        return dict(ta)
+    out = dict(ta)
+    for mono, coeff in tb.items():
+        acc = out.get(mono)
+        if acc is None:
+            out[mono] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
+def terms_neg(ta):
+    return {mono: -coeff for mono, coeff in ta.items()}
+
+
+def terms_scale(ta, q):
+    if not q:
+        return {}
+    return {mono: coeff * q for mono, coeff in ta.items()}
+
+
+def terms_mul(ta, tb):
+    if not ta or not tb:
+        return {}
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out = {}
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            mono = mono_mul(ma, mb)
+            prod = ca * cb
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = prod
+            else:
+                acc = acc + prod
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+    return out

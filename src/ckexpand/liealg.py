@@ -146,23 +146,43 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieAlgebra":
-        generators = tuple(data["generators"])
+        """Inverse of ``to_json_dict``; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"definition must be a JSON object, not {type(data).__name__}"
+            )
+        labels = data.get("generators")
+        if not isinstance(labels, list) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ValueError("'generators' must be a list of labels")
+        generators = tuple(labels)
+        index = {g: i for i, g in enumerate(generators)}
+        table = data.get("brackets", {})
+        if not isinstance(table, dict):
+            raise ValueError("'brackets' must be a JSON object")
         brackets = {}
-        for key, expr in data.get("brackets", {}).items():
+        for key, expr in table.items():
             key = key.strip()
             if not (key.startswith("[") and key.endswith("]")):
                 raise ValueError(f"bad bracket key {key!r}")
             x, _, y = key[1:-1].partition(",")
             x, y = x.strip(), y.strip()
+            for label in (x, y):
+                if label not in index:
+                    raise ValueError(
+                        f"bracket key {key!r}: unknown generator {label!r}"
+                    )
+            if not isinstance(expr, str):
+                raise ValueError(f"bracket {key!r}: value must be a string")
             combo = _linear_combo(as_scalar(expr), generators)
-            i, j = generators.index(x), generators.index(y)
+            i, j = index[x], index[y]
             if i == j:
                 raise ValueError(f"self-bracket {key!r} must not be given")
             if i > j:
                 i, j = j, i
                 combo = {n: -c for n, c in combo.items()}
-            idx_combo = {generators.index(n): c for n, c in combo.items()}
-            brackets[(i, j)] = idx_combo
+            brackets[(i, j)] = {index[n]: c for n, c in combo.items()}
         return cls(
             data.get("name", "unnamed"),
             generators,
@@ -409,15 +429,6 @@ class CartanReport:
     @property
     def ok(self) -> bool:
         return self.hh_ok and self.hp_ok and self.pp_ok
-
-
-def subalgebra_closes(g: LieAlgebra, indices) -> bool:
-    idx = set(indices)
-    for i in idx:
-        for j in idx:
-            if i < j and any(n not in idx for n in g.bracket(i, j)):
-                return False
-    return True
 
 
 def cartan_check(g: LieAlgebra, d: Decomposition) -> CartanReport:

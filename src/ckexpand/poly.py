@@ -18,7 +18,7 @@ import math
 import re
 from fractions import Fraction
 
-from .kernel import mono_mul, terms_add, terms_mul, terms_neg, terms_scale
+from .kernel import terms_add, terms_mul, terms_neg, terms_scale
 
 __all__ = [
     "Poly",
@@ -203,9 +203,6 @@ class Poly:
 
     def scale(self, q: Fraction) -> "Poly":
         return Poly(terms_scale(self.terms, Fraction(q)))
-
-    def mul_mono(self, mono) -> "Poly":
-        return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

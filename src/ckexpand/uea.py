@@ -103,15 +103,6 @@ class UEAElement:
     def coefficient(self, exps) -> Scalar:
         return self.terms.get(tuple(exps), Scalar.zero())
 
-    def support_generators(self):
-        """Labels of generators actually appearing."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(self.algebra.generators[i])
-        return tuple(sorted(used))
-
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise MixedAlgebraError(

@@ -129,11 +129,40 @@ def test_atlas_json_is_deterministic(capsys):
     assert verdicts.count("closes-but-not-ck") == 1
 
 
-def test_degree_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv("CK_DEGREE_BOUND", "0")
-    code, _, err = run(capsys, "expand", "poincare", "--axis", "1")
+def test_degree_bound_env(capsys):
+    code, _, err = run(capsys, "expand", "poincare", "--axis", "1",
+                       "--degree-bound", "0")
     assert code == 2
     assert "bound" in err
-    monkeypatch.setenv("CK_DEGREE_BOUND", "2")
-    code, _, _ = run(capsys, "expand", "poincare", "--axis", "1")
+    code, _, _ = run(capsys, "expand", "poincare", "--axis", "1",
+                     "--degree-bound", "2")
     assert code == 0
+
+
+MALFORMED = {
+    "unknown-label": (
+        {"generators": ["H", "P1"], "brackets": {"[H,Q1]": "P1"}},
+        "'Q1'",
+    ),
+    "no-generators": ({"name": "x", "brackets": {}}, "'generators' must"),
+    "top-level-array": (["H", "P1"], "JSON object"),
+    "brackets-array": (
+        {"generators": ["H"], "brackets": []},
+        "'brackets' must",
+    ),
+    "null-value": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": None}},
+        "'[H,P1]'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_definition_exits_2(capsys, tmp_path, case):
+    data, named = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert named in err

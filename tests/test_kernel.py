@@ -1,19 +1,9 @@
-"""Kernel selection and agreement between the two backends."""
+"""The term-arithmetic kernel and the names the benchmark reads."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
-import pytest
-
-from ckexpand import _kernel_py
+import ckexpand
 from ckexpand import kernel
-
-try:
-    from ckexpand import _kernel_c
-except ImportError:
-    _kernel_c = None
 
 
 A = {(("x", 1),): Fraction(2), (("y", 2),): Fraction(-1, 3)}
@@ -21,62 +11,18 @@ B = {(): Fraction(1), (("x", 1), ("y", 1)): Fraction(5)}
 
 
 def test_pure_python_kernel():
-    assert _kernel_py.terms_mul(A, B) == {
+    assert kernel.terms_mul(A, B) == {
         (("x", 1),): Fraction(2),
         (("x", 2), ("y", 1)): Fraction(10),
         (("y", 2),): Fraction(-1, 3),
         (("x", 1), ("y", 3)): Fraction(-5, 3),
     }
-    assert _kernel_py.terms_add(A, _kernel_py.terms_neg(A)) == {}
-    assert _kernel_py.terms_scale(B, Fraction(0)) == {}
+    assert kernel.terms_add(A, kernel.terms_neg(A)) == {}
+    assert kernel.terms_scale(B, Fraction(0)) == {}
 
 
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-def test_backends_agree():
-    for op in ("terms_add", "terms_mul"):
-        assert getattr(_kernel_c, op)(A, B) == getattr(_kernel_py, op)(A, B)
-    assert _kernel_c.mono_mul((("x", 1),), (("x", 2), ("y", 1))) == \
-        _kernel_py.mono_mul((("x", 1),), (("x", 2), ("y", 1)))
-
-
-def test_selected_kernel_is_exported():
-    assert kernel.IMPLEMENTATION in ("cython", "python")
-    assert kernel.terms_mul(A, B) == _kernel_py.terms_mul(A, B)
-
-
-# Run in a fresh interpreter: records whether ``ckexpand._kernel_c`` is
-# looked up while ``ckexpand.kernel`` is imported.  The finder supplies no
-# module, so the check means the same whether or not the extension is built.
-_LOOKUP_PROBE = """
-import sys
-
-class Probe:
-    looked_up = False
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "ckexpand._kernel_c":
-            Probe.looked_up = True
-        return None
-
-sys.meta_path.insert(0, Probe())
-from ckexpand import kernel
-print(kernel.IMPLEMENTATION, Probe.looked_up)
-"""
-
-
-def _probe_kernel(**env):
-    # Minimal environment, plus this interpreter's import path so that a
-    # plain checkout (run with PYTHONPATH=src) imports the same package.
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path),
-           **env}
-    out = subprocess.run([sys.executable, "-c", _LOOKUP_PROBE],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    implementation, looked_up = out.stdout.split()
-    return implementation, looked_up == "True"
-
-
-def test_env_override_forces_pure_python():
-    assert _probe_kernel(CK_PURE_KERNEL="1") == ("python", False)
-    # Without the override the compiled kernel is at least tried.
-    assert _probe_kernel()[1]
+def test_benchmark_names():
+    # ckbench records KERNEL_IMPLEMENTATION and traces kernel.terms_mul by
+    # replacing the object wherever it is bound; Poly must call that object.
+    assert ckexpand.KERNEL_IMPLEMENTATION == "python"
+    assert ckexpand.poly.terms_mul is ckexpand.kernel.terms_mul
