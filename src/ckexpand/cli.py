@@ -21,9 +21,9 @@ import sys
 from fractions import Fraction
 
 from .expand import (
-    ATLAS,
     ExpansionError,
     make_problem,
+    run_atlas,
     run_expansion,
 )
 from .liealg import (
@@ -189,12 +189,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    reports = []
-    for name, initial, axis, omega, expected_failure in ATLAS:
-        problem = make_problem(
-            initial, axis, omega, name=name, expected_failure=expected_failure
-        )
-        reports.append(run_expansion(problem, degree_bound=args.degree_bound))
+    reports = run_atlas(args.degree_bound)
     ok = all(r.ok for r in reports)
     if args.json:
         _emit_json(

@@ -264,13 +264,13 @@ class HypothesisReport:
         return self.k_closes and self.kt_in_t
 
 
-def centralizer_split(g: LieAlgebra, J: UEAElement):
-    """Split generators by whether they commute with J; check the shortcut
+def centralizer_split(g: LieAlgebra, unchanged):
+    """Split generators into k (those commuting with J, given as the labels
+    ``build_primed_generators`` left unchanged) and t; check the shortcut
     hypotheses ([k,k] in k and [k,t] in t)."""
-    k_idx, t_idx = [], []
-    for i, label in enumerate(g.generators):
-        c = uea_commutator(J, UEAElement.generator(g, label))
-        (k_idx if c.is_zero else t_idx).append(i)
+    k_labels = set(unchanged)
+    k_idx = [i for i, label in enumerate(g.generators) if label in k_labels]
+    t_idx = [i for i, label in enumerate(g.generators) if label not in k_labels]
     k_set = set(k_idx)
     k_closes = all(
         all(n in k_set for n in g.bracket(i, j))
@@ -360,27 +360,11 @@ def default_degree_bound(problem: ExpansionProblem) -> int:
     return max(0, 3 - min_deg)
 
 
-def derive_constraints(problem: ExpansionProblem, primed, reducer=None,
-                       _pair_order=None):
-    """Collect the polynomial equations in (a1, a2) forced by the target
-    brackets, reduced modulo the Casimir eigenvalue relations."""
-    g = problem.initial
-    if reducer is None:
-        reducer = CentralReducer(
-            g, problem.relations, default_degree_bound(problem)
-        )
-    pairs = _pair_order or list(itertools.combinations(range(g.dim), 2))
-    per_pair = {}
+def _constraint_ideal(eq_lists):
+    """Groebner basis of the equations, deduplicated up to a constant factor
+    in the order given; every equation must reduce to zero modulo it."""
     raw = []
-    for i, j in pairs:
-        pair = _pair_name(g, i, j)
-        diff = _bracket_diff(problem, primed, i, j)
-        if diff.is_zero:
-            per_pair[pair] = []
-            continue
-        remainder, _ = reducer.reduce(diff)
-        eqs = _remainder_equations(remainder, pair)
-        per_pair[pair] = eqs
+    for eqs in eq_lists:
         for eq in eqs:
             if not any(eq.proportional_to(known) for known in raw):
                 raw.append(eq)
@@ -388,7 +372,36 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None,
     for eq in raw:
         if not reduce_mod_ideal(eq, ideal).is_zero:
             raise InconsistentSystemError("generator does not reduce to zero")
-    return ideal, per_pair
+    return ideal
+
+
+def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
+    """Collect the polynomial equations in (a1, a2) forced by the target
+    brackets, reduced modulo the Casimir eigenvalue relations.
+
+    This is the one bracket pass of an arrow.  Returns the ideal, the
+    equations per pair name and the central remainder of every pair (None
+    when the bracket holds exactly), which ``verify_expansion`` reads.
+    """
+    g = problem.initial
+    if reducer is None:
+        reducer = CentralReducer(
+            g, problem.relations, default_degree_bound(problem)
+        )
+    per_pair = {}
+    remainders = {}
+    for i, j in itertools.combinations(range(g.dim), 2):
+        pair = _pair_name(g, i, j)
+        diff = _bracket_diff(problem, primed, i, j)
+        if diff.is_zero:
+            remainders[(i, j)] = None
+            per_pair[pair] = []
+            continue
+        remainder, _ = reducer.reduce(diff)
+        remainders[(i, j)] = remainder
+        per_pair[pair] = _remainder_equations(remainder, pair)
+    ideal = _constraint_ideal(per_pair.values())
+    return ideal, per_pair, remainders
 
 
 @dataclass
@@ -503,10 +516,11 @@ class ExpansionReport:
         return data
 
 
-def verify_expansion(problem, primed, unchanged, constraints, reducer,
+def verify_expansion(problem, unchanged, constraints, remainders,
                      hypothesis=None):
     """Check every bracket of the target against the primed generators.
 
+    ``remainders`` are the central remainders from ``derive_constraints``.
     A bracket passes either exactly in the enveloping algebra or after
     central reduction followed by reduction of every coefficient modulo
     the constraint ideal.  When the shortcut hypotheses hold, the k'k'
@@ -516,15 +530,13 @@ def verify_expansion(problem, primed, unchanged, constraints, reducer,
     k_set = set(unchanged)
     verdicts = []
     all_ok = True
-    for i, j in itertools.combinations(range(g.dim), 2):
+    for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
         in_k = (g.generators[i] in k_set) + (g.generators[j] in k_set)
         klass = {2: "kk", 1: "kt", 0: "tt"}[in_k]
-        diff = _bracket_diff(problem, primed, i, j)
-        if diff.is_zero:
+        if remainder is None:
             verdicts.append(BracketVerdict(pair, klass, "exact", True))
             continue
-        remainder, _ = reducer.reduce(diff)
         residuals = []
         for exps, coeff in remainder.terms.items():
             nf = reduce_mod_ideal(
@@ -605,12 +617,12 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     J = build_J(splits)
     report.J = J
     g = problem.initial
-    decomp, hyp = centralizer_split(g, J)
-    report.decomposition = decomp
-    report.hypothesis = hyp
     primed, unchanged = build_primed_generators(g, J)
     report.primed = primed
     report.unchanged = unchanged
+    decomp, hyp = centralizer_split(g, unchanged)
+    report.decomposition = decomp
+    report.hypothesis = hyp
     if not hyp.holds and not hyp.violations_central_only:
         # the seed is too abelian for this axis: analyze what the primed
         # set closes instead of deriving constraints
@@ -627,15 +639,15 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     bound = degree_bound if degree_bound is not None else default_degree_bound(problem)
     report.degree_bound = bound
     reducer = CentralReducer(g, problem.relations, bound)
-    ideal, per_pair = derive_constraints(problem, primed, reducer)
+    ideal, per_pair, remainders = derive_constraints(problem, primed, reducer)
     report.constraints = ideal
     report.per_pair = per_pair
-    # order-independence: reversed pair order must generate the same ideal
-    rev_pairs = list(itertools.combinations(range(g.dim), 2))[::-1]
-    ideal_rev, _ = derive_constraints(problem, primed, reducer, rev_pairs)
+    # order-independence: the equations in reversed pair order must
+    # generate the same ideal
+    ideal_rev = _constraint_ideal(reversed(list(per_pair.values())))
     report.order_independent = ideal_equals(ideal, ideal_rev)
     verdicts, all_ok = verify_expansion(
-        problem, primed, unchanged, ideal, reducer, hyp
+        problem, unchanged, ideal, remainders, hyp
     )
     report.brackets = verdicts
     report.verdict = "pass" if all_ok and report.order_independent else "fail"

@@ -45,6 +45,9 @@ def _grlex_key(vec):
     return (sum(vec), vec)
 
 
+_ONE_TERMS = {(): Fraction(1)}
+
+
 class Poly:
     """A multivariate polynomial with exact rational coefficients."""
 
@@ -71,7 +74,7 @@ class Poly:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        return self.terms == _ONE_TERMS
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -316,32 +319,36 @@ class Scalar:
             self.num = ZERO
             self.den = ONE
             return
-        if not den.is_one:
-            # cancel common monomial content
-            nc = dict(num.mono_content())
-            common = tuple(
-                sorted(
-                    (s, min(e, nc[s]))
-                    for s, e in den.mono_content()
-                    if s in nc
-                )
+        if den.is_one:
+            # a polynomial is already normalized
+            self.num = num
+            self.den = ONE
+            return
+        # cancel common monomial content
+        nc = dict(num.mono_content())
+        common = tuple(
+            sorted(
+                (s, min(e, nc[s]))
+                for s, e in den.mono_content()
+                if s in nc
             )
-            if common:
-                num = Poly(
-                    {_mono_div(m, common): c for m, c in num.terms.items()}
-                )
-                den = Poly(
-                    {_mono_div(m, common): c for m, c in den.terms.items()}
-                )
-            # full cancellation when one side exactly divides the other
-            if not den.is_one:
-                q = exact_div(num, den)
+        )
+        if common:
+            num = Poly(
+                {_mono_div(m, common): c for m, c in num.terms.items()}
+            )
+            den = Poly(
+                {_mono_div(m, common): c for m, c in den.terms.items()}
+            )
+        # full cancellation when one side exactly divides the other
+        if not den.is_one:
+            q = exact_div(num, den)
+            if q is not None:
+                num, den = q, ONE
+            else:
+                q = exact_div(den, num)
                 if q is not None:
-                    num, den = q, ONE
-                else:
-                    q = exact_div(den, num)
-                    if q is not None:
-                        num, den = ONE, q
+                    num, den = ONE, q
         # denominator content 1 with positive leading coefficient
         c = den.content()
         if den.leading()[1] < 0:
@@ -404,6 +411,8 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one and other.den.is_one:
+            return Scalar(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -267,6 +267,56 @@ def test_inconsistent_target_is_detected():
         derive_constraints(problem, report.primed)
 
 
+def test_each_bracket_is_computed_once(monkeypatch):
+    import ckexpand.expand
+
+    calls = []
+    original = ckexpand.expand.uea_commutator
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(ckexpand.expand, "uea_commutator", counted)
+    report = run_expansion(make_problem("poincare", 1))
+    assert report.verdict == "pass"
+    # 6 commutators [J, X] plus one per generator pair (15)
+    assert len(calls) == 6 + 15
+
+
+def test_order_independence_is_still_checked(monkeypatch):
+    import ckexpand.expand
+
+    calls = []
+    original = ckexpand.expand.groebner_basis
+
+    def counted(gens, unknowns):
+        calls.append(1)
+        return original(gens, unknowns)
+
+    monkeypatch.setattr(ckexpand.expand, "groebner_basis", counted)
+    report = run_expansion(make_problem("poincare", 1))
+    assert report.order_independent and report.verdict == "pass"
+    assert len(calls) == 2
+
+    def enlarged_on_second_call(gens, unknowns):
+        calls.append(1)
+        if len(calls) == 2:
+            # a strictly larger ideal: every equation still reduces to
+            # zero modulo it, but it differs from the forward one
+            gens = list(gens) + [pp("a2")]
+        return original(gens, unknowns)
+
+    calls.clear()
+    monkeypatch.setattr(
+        ckexpand.expand, "groebner_basis", enlarged_on_second_call
+    )
+    report = run_expansion(make_problem("poincare", 1))
+    assert len(calls) == 2
+    assert report.order_independent is False
+    assert report.verdict == "fail"
+
+
 def test_degree_bound_too_small():
     from ckexpand.uea import BoundExceededError
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ckexpand.poly import (
     Poly,
@@ -73,6 +73,45 @@ def test_exact_division_roundtrip(a, b):
     quotient = exact_div(a * b, b)
     assert quotient is not None
     assert quotient == a
+
+
+# -- sympy oracle for Scalar arithmetic -----------------------------------------
+
+scalars = st.one_of(
+    polys.map(Scalar),
+    st.builds(Scalar, polys, nonzero_polys),
+)
+
+
+def to_sympy(s: Scalar):
+    import sympy
+
+    def poly(p: Poly):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(sympy.Symbol(sym) ** e for sym, e in mono))
+            for mono, c in p.terms.items()
+        ))
+
+    return poly(s.num) / poly(s.den)
+
+
+# sympy's import and cancel are slow next to the deadline
+@settings(deadline=None)
+@given(scalars, scalars)
+def test_scalar_arithmetic_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert sympy.cancel(to_sympy(a + b) - (sa + sb)) == 0
+    assert sympy.cancel(to_sympy(a * b) - sa * sb) == 0
+    if not b.is_zero:
+        assert sympy.cancel(to_sympy(a / b) - sa / sb) == 0
+
+
+@given(polys, polys)
+def test_polynomial_scalars_stay_polynomial(a, b):
+    assert (Scalar(a) + Scalar(b)).den.is_one
+    assert (Scalar(a) * Scalar(b)).den.is_one
 
 
 def test_exact_division_rejects_remainder():
