@@ -375,6 +375,17 @@ def _constraint_ideal(eq_lists):
     return ideal
 
 
+def _pair_remainders(problem: ExpansionProblem, primed, reducer):
+    """The central remainder of every pair's bracket difference, keyed by
+    index pair; None when the bracket holds exactly."""
+    g = problem.initial
+    remainders = {}
+    for i, j in itertools.combinations(range(g.dim), 2):
+        diff = _bracket_diff(problem, primed, i, j)
+        remainders[(i, j)] = None if diff.is_zero else reducer.reduce(diff)[0]
+    return remainders
+
+
 def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
     """Collect the polynomial equations in (a1, a2) forced by the target
     brackets, reduced modulo the Casimir eigenvalue relations.
@@ -388,18 +399,13 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
         reducer = CentralReducer(
             g, problem.relations, default_degree_bound(problem)
         )
+    remainders = _pair_remainders(problem, primed, reducer)
     per_pair = {}
-    remainders = {}
-    for i, j in itertools.combinations(range(g.dim), 2):
+    for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
-        diff = _bracket_diff(problem, primed, i, j)
-        if diff.is_zero:
-            remainders[(i, j)] = None
-            per_pair[pair] = []
-            continue
-        remainder, _ = reducer.reduce(diff)
-        remainders[(i, j)] = remainder
-        per_pair[pair] = _remainder_equations(remainder, pair)
+        per_pair[pair] = (
+            [] if remainder is None else _remainder_equations(remainder, pair)
+        )
     ideal = _constraint_ideal(per_pair.values())
     return ideal, per_pair, remainders
 
@@ -431,6 +437,8 @@ class ExpansionReport:
     unchanged: tuple = ()
     constraints: RelationIdeal = None
     per_pair: dict = None
+    # central remainders from derive_constraints; not written to JSON
+    remainders: dict = None
     order_independent: bool = True
     brackets: list = field(default_factory=list)
     closure: ClosureReport = None
@@ -642,6 +650,7 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     ideal, per_pair, remainders = derive_constraints(problem, primed, reducer)
     report.constraints = ideal
     report.per_pair = per_pair
+    report.remainders = remainders
     # order-independence: the equations in reversed pair order must
     # generate the same ideal
     ideal_rev = _constraint_ideal(reversed(list(per_pair.values())))
@@ -686,17 +695,22 @@ def verify_with_values(report: ExpansionReport, values: dict):
     residual and require them to vanish."""
     problem = report.problem
     g = problem.initial
-    reducer = CentralReducer(
-        g, problem.relations, report.degree_bound or default_degree_bound(problem)
-    )
+    remainders = report.remainders
+    if remainders is None:
+        # a closure-path report derived no constraints
+        reducer = CentralReducer(
+            g, problem.relations,
+            report.degree_bound or default_degree_bound(problem),
+        )
+        remainders = _pair_remainders(problem, report.primed, reducer)
     mapping = {k: as_scalar(v) for k, v in values.items()}
     outcomes = []
-    for i, j in itertools.combinations(range(g.dim), 2):
+    for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
-        diff = _bracket_diff(problem, report.primed, i, j)
-        if not diff.is_zero:
-            diff, _ = reducer.reduce(diff)
-        residual = diff.substitute(mapping)
+        if remainder is None:
+            outcomes.append((pair, True, "0"))
+            continue
+        residual = remainder.substitute(mapping)
         outcomes.append((pair, residual.is_zero, str(residual)))
     return outcomes
 

@@ -11,6 +11,7 @@ polynomials to normal form.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,21 +105,27 @@ class ParamPoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _combine(self, other, sign) -> "ParamPoly":
+    def _combine(self, other, negate) -> "ParamPoly":
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            val = terms.get(key, Scalar.zero()) + sign * coeff
+            if negate:
+                coeff = -coeff
+            val = terms.get(key)
+            if val is None:
+                terms[key] = coeff
+                continue
+            val = val + coeff
             if val.is_zero:
-                terms.pop(key, None)
+                del terms[key]
             else:
                 terms[key] = val
         return ParamPoly(self.unknowns, terms)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._combine(other, True)
 
     def __neg__(self):
         return ParamPoly(
@@ -138,10 +145,11 @@ class ParamPoly:
         coeff = as_scalar(coeff)
         if coeff.is_zero:
             return ParamPoly(self.unknowns)
+        one = coeff.is_one
         return ParamPoly(
             self.unknowns,
             {
-                tuple(a + b for a, b in zip(k, exps)): v * coeff
+                tuple(a + b for a, b in zip(k, exps)): v if one else v * coeff
                 for k, v in self.terms.items()
             },
         )
@@ -156,7 +164,7 @@ class ParamPoly:
         if self.is_zero:
             return self
         _, lc = self.leading()
-        return self.scale(lc.inverse())
+        return self if lc.is_one else self.scale(lc.inverse())
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
@@ -252,27 +260,46 @@ def _wrap(text: str) -> str:
     return f"({text})" if (" " in text or "/" in text) else text
 
 
+def _divides(a, b) -> bool:
+    """True when the monomial with exponents a divides the one with b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _reduce(p: ParamPoly, basis) -> ParamPoly:
-    """Full normal form of p against a list of ParamPolys."""
-    remainder = ParamPoly(p.unknowns)
-    work = p
-    while not work.is_zero:
-        key, coeff = work.leading()
-        hit = None
-        for b in basis:
-            bkey, _ = b.leading()
-            if all(k >= bk for k, bk in zip(key, bkey)):
-                hit = (b, bkey)
+    """Full normal form of p against a list of ParamPolys.
+
+    Works on one mutable term dict: each step cancels the current leading
+    term with the first basis element whose leading monomial divides it,
+    or moves that term into the remainder.
+    """
+    divisors = [(*b.leading(), b.terms) for b in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        key = max(work, key=_order_key)
+        coeff = work.pop(key)
+        for bkey, blc, bterms in divisors:
+            if _divides(bkey, key):
                 break
-        if hit is None:
-            remainder = remainder + ParamPoly(p.unknowns, {key: coeff})
-            work = work - ParamPoly(p.unknowns, {key: coeff})
         else:
-            b, bkey = hit
-            _, blc = b.leading()
-            shift = tuple(k - bk for k, bk in zip(key, bkey))
-            work = work - b.shift(shift, coeff / blc)
-    return remainder
+            remainder[key] = coeff
+            continue
+        factor = coeff if blc.is_one else coeff / blc
+        shift = tuple(k - bk for k, bk in zip(key, bkey))
+        for exps, c in bterms.items():
+            if exps == bkey:
+                continue  # cancels the popped leading term exactly
+            exps = tuple(a + b for a, b in zip(exps, shift))
+            acc = work.get(exps)
+            if acc is None:
+                work[exps] = -(factor * c)
+            else:
+                acc = acc - factor * c
+                if acc.is_zero:
+                    del work[exps]
+                else:
+                    work[exps] = acc
+    return ParamPoly(p.unknowns, remainder)
 
 
 def _spoly(f: ParamPoly, g: ParamPoly) -> ParamPoly:
@@ -298,7 +325,14 @@ class RelationIdeal:
 
 
 def groebner_basis(gens, unknowns) -> RelationIdeal:
-    """Reduced Groebner basis under the frozen graded-lex order."""
+    """Reduced Groebner basis under the frozen graded-lex order.
+
+    Buchberger's algorithm with the product and chain criteria: the pending
+    pair with the smallest lcm of leading monomials goes first (ties by
+    index), a pair with coprime leading monomials is skipped, and so is a
+    pair whose lcm a third leading monomial divides when that element's
+    pairs with both are already treated.
+    """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
         raise ValueError(
@@ -306,26 +340,53 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         )
     polys = [ParamPoly.coerce(g, unknowns) for g in gens]
     polys = [p for p in polys if not p.is_zero]
-    basis = [p.monic() for p in polys]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
+    basis = []
+    leads = []
+    pending = set()
+    heap = []
+
+    def add(p):
+        j = len(basis)
+        basis.append(p.monic())
+        leads.append(basis[j].leading()[0])
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+            heapq.heappush(heap, (_order_key(lcm), i, j))
+            pending.add((i, j))
+
+    for p in polys:
+        add(p)
+    while heap:
+        (_, lcm), i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        if all(not (a and b) for a, b in zip(leads[i], leads[j])):
+            continue  # product criterion
+        if any(
+            k != i and k != j
+            and _divides(lead, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lead in enumerate(leads)
+        ):
+            continue  # chain criterion
         s = _reduce(_spoly(basis[i], basis[j]), basis)
         if not s.is_zero:
-            basis.append(s.monic())
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # inter-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            others = [b for b in others if not b.is_zero]
-            r = _reduce(basis[i], others)
-            if not (r - basis[i]).is_zero:
-                changed = True
-            basis[i] = r.monic() if not r.is_zero else r
-        basis = [b for b in basis if not b.is_zero]
+            add(s)
+    # minimal basis: drop every element whose leading monomial another
+    # element's divides (of equal leading monomials the first stays)
+    basis = [
+        b
+        for i, b in enumerate(basis)
+        if not any(
+            _divides(lead, leads[i]) and (lead != leads[i] or k < i)
+            for k, lead in enumerate(leads)
+            if k != i
+        )
+    ]
+    # the monic leading terms of a minimal basis stay put under tail
+    # reduction, so one pass gives the unique reduced basis
+    for i in range(len(basis)):
+        basis[i] = _reduce(basis[i], basis[:i] + basis[i + 1 :])
     basis.sort(key=lambda b: _order_key(b.leading()[0]))
     return RelationIdeal(unknowns=unknowns, generators=polys, groebner=basis)
 

@@ -86,9 +86,13 @@ class LieAlgebra:
         out: dict = {}
         for n, c in combo.items():
             for m, d in self.bracket(n, k).items():
-                acc = out.get(m, Scalar.zero()) + c * d
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = c * d
+                    continue
+                acc = acc + c * d
                 if acc.is_zero:
-                    out.pop(m, None)
+                    del out[m]
                 else:
                     out[m] = acc
         return out
@@ -325,9 +329,13 @@ def check_structure(g: LieAlgebra) -> StructureReport:
                 residual: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, coeff in g.ad_combo(g.bracket(a, b), c).items():
-                        acc = residual.get(m, Scalar.zero()) + coeff
+                        acc = residual.get(m)
+                        if acc is None:
+                            residual[m] = coeff
+                            continue
+                        acc = acc + coeff
                         if acc.is_zero:
-                            residual.pop(m, None)
+                            del residual[m]
                         else:
                             residual[m] = acc
                 if residual:

@@ -117,9 +117,13 @@ class UEAElement:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Scalar.zero()) + coeff
+            acc = terms.get(exps)
+            if acc is None:
+                terms[exps] = coeff
+                continue
+            acc = acc + coeff
             if acc.is_zero:
-                terms.pop(exps, None)
+                del terms[exps]
             else:
                 terms[exps] = acc
         return UEAElement(self.algebra, terms)
@@ -230,9 +234,13 @@ def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
             for idx in w:
                 exps[idx] += 1
             key = tuple(exps)
-            acc = result.get(key, Scalar.zero()) + c
+            acc = result.get(key)
+            if acc is None:
+                result[key] = c
+                continue
+            acc = acc + c
             if acc.is_zero:
-                result.pop(key, None)
+                del result[key]
             else:
                 result[key] = acc
             continue
@@ -386,15 +394,23 @@ class _Span:
             row_terms, rep = self.rows[m]
             factor = terms[m] / row_terms[m]
             for exps, coeff in row_terms.items():
-                acc = terms.get(exps, Scalar.zero()) - factor * coeff
+                acc = terms.get(exps)
+                if acc is None:
+                    terms[exps] = -(factor * coeff)
+                    continue
+                acc = acc - factor * coeff
                 if acc.is_zero:
-                    terms.pop(exps, None)
+                    del terms[exps]
                 else:
                     terms[exps] = acc
             for tag, c in rep.items():
-                acc = combo.get(tag, Scalar.zero()) + factor * c
+                acc = combo.get(tag)
+                if acc is None:
+                    combo[tag] = factor * c
+                    continue
+                acc = acc + factor * c
                 if acc.is_zero:
-                    combo.pop(tag, None)
+                    del combo[tag]
                 else:
                     combo[tag] = acc
 
@@ -404,9 +420,13 @@ class _Span:
             return
         rep = {tag: Scalar.one()}
         for t, c in combo.items():
-            acc = rep.get(t, Scalar.zero()) - c
+            acc = rep.get(t)
+            if acc is None:
+                rep[t] = -c
+                continue
+            acc = acc - c
             if acc.is_zero:
-                rep.pop(t, None)
+                del rep[t]
             else:
                 rep[t] = acc
         lead = max(residual, key=_mono_key)
@@ -545,5 +565,7 @@ def parse_element(algebra: LieAlgebra, text: str) -> UEAElement:
                 raise ValueError(f"bad term in element string: {text!r}")
         else:
             coeff = Scalar.one()
-        total = total + UEAElement(algebra, {tuple(exps): coeff * sign})
+        coeff = coeff * sign
+        if not coeff.is_zero:
+            total = total + UEAElement(algebra, {tuple(exps): coeff})
     return total

@@ -30,3 +30,17 @@ def oracle_normalize(algebra, word, rng):
         for n, bc in algebra.bracket(a, b).items():
             stack.append((w[:p] + (n,) + w[p + 2:], c * bc))
     return UEAElement(algebra, result)
+
+
+def to_sympy(s: Scalar):
+    """A Scalar as a sympy rational function (sympy is imported here)."""
+    import sympy
+
+    def poly(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(sympy.Symbol(sym) ** e for sym, e in mono))
+            for mono, c in p.terms.items()
+        ))
+
+    return poly(s.num) / poly(s.den)

@@ -396,3 +396,42 @@ def test_verify_with_numeric_values():
         report, {"a1": 1, "a2": 1, "c1": 1, "c2": 0}
     )
     assert not all(ok for _, ok, _ in bad)
+
+
+def test_verify_with_values_reuses_the_remainders(monkeypatch):
+    import ckexpand.expand
+
+    report = run_expansion(make_problem("galilei", 2, omega=-1))
+    builds, commutators = [], []
+    reducer_init = ckexpand.expand.CentralReducer.__init__
+    commutator = ckexpand.expand.uea_commutator
+
+    def counted_init(self, *args):
+        builds.append(1)
+        reducer_init(self, *args)
+
+    def counted_commutator(a, b):
+        commutators.append(1)
+        return commutator(a, b)
+
+    monkeypatch.setattr(
+        ckexpand.expand.CentralReducer, "__init__", counted_init
+    )
+    monkeypatch.setattr(ckexpand.expand, "uea_commutator", counted_commutator)
+    outcomes = verify_with_values(report, {"a1": 0, "a2": 1, "c1": 1, "c2": 0})
+    assert len(outcomes) == 15 and all(ok for _, ok, _ in outcomes)
+    assert (len(builds), len(commutators)) == (0, 0)
+    assert "remainders" not in report.to_json_dict()
+
+
+def test_verify_with_values_on_a_closure_report():
+    # the negative control takes the closure path and derives no
+    # constraints, so its remainders are computed on demand
+    report = run_expansion(
+        make_problem("galilei", 1, 1, expected_failure=True)
+    )
+    assert report.constraints is None and report.remainders is None
+    outcomes = verify_with_values(report, {"a1": 1, "a2": 1})
+    assert len(outcomes) == 15
+    assert outcomes[0] == ("[H,P1]", False, "-1 * K1")
+    assert outcomes[4] == ("[H,J]", True, "0")

@@ -1,9 +1,13 @@
 """Groebner bases of the constraint ideals in the expansion unknowns."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import to_sympy
 
 from ckexpand.groebner import (
     ParamPoly,
+    RelationIdeal,
     groebner_basis,
     ideal_equals,
     reduce_mod_ideal,
@@ -103,3 +107,134 @@ def test_buchberger_textbook_example():
 def test_unknown_budget_is_enforced():
     with pytest.raises(ValueError):
         groebner_basis([], ("a1", "a2", "a3", "a4"))
+
+
+# -- S-pair criteria and the single inter-reduction pass ----------------------
+
+
+def count_calls(monkeypatch, name):
+    import ckexpand.groebner
+
+    calls = []
+    original = getattr(ckexpand.groebner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ckexpand.groebner, name, counted)
+    return calls
+
+
+def test_coprime_leading_monomials_reduce_no_s_pair(monkeypatch):
+    spolys = count_calls(monkeypatch, "_spoly")
+    ideal = groebner_basis([pp("a1^2 + w1"), pp("a2^2 + w2")], AB)
+    assert [str(b) for b in ideal.groebner] == ["a2^2 + w2", "a1^2 + w1"]
+    # the product criterion skips the only pair
+    assert len(spolys) == 0
+
+
+def test_chain_criterion_skips_s_pairs(monkeypatch):
+    spolys = count_calls(monkeypatch, "_spoly")
+    # every element of this ideal is a multiple of a1, so no two leading
+    # monomials are coprime and the product criterion never applies
+    gens = [pp("a1^3 + w1*a1"), pp("a1^2*a2 + c1*a1"), pp("a1*a2^2 + a1")]
+    ideal = groebner_basis(gens, AB)
+    assert [str(b) for b in ideal.groebner] == ["a1"]
+    # reducing every pair takes 10 S-polynomials
+    assert len(spolys) == 5
+
+
+def test_redundant_generator_is_dropped_in_one_pass(monkeypatch):
+    spolys = count_calls(monkeypatch, "_spoly")
+    reductions = count_calls(monkeypatch, "_reduce")
+    # the leading monomial a1 divides a1*a2
+    ideal = groebner_basis([pp("a1 + w1"), pp("a1*a2 + c1*a2^2")], AB)
+    assert [str(b) for b in ideal.groebner] == [
+        "a1 + w1",
+        "a2^2 + ((-w1)/(c1))*a2",
+    ]
+    # one reduction per S-pair, then one per element of the reduced basis;
+    # the redundant generator is dropped without being reduced
+    assert len(spolys) == 1
+    assert len(reductions) == len(spolys) + len(ideal.groebner)
+
+
+# -- sympy oracle for groebner_basis ------------------------------------------
+
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+INTEGERS = st.integers(-3, 3).filter(bool).map(str)
+PARAMETERS = st.sampled_from(["w1", "c1", "-w1", "2*c1", "w1*c1", "-3*w1^2"])
+
+
+def generator_text(terms):
+    return " + ".join(
+        f"({c})*a1^{e1}*a2^{e2}" for (e1, e2), c in sorted(terms.items())
+    )
+
+
+@st.composite
+def systems(draw):
+    """1-3 generators of degree <= 2 in (a1, a2).  Parameter coefficients
+    go into the first generator and into binomials: with them in three
+    trinomials the fractions swell (no multivariate gcd) to many seconds
+    per system."""
+    texts = []
+    for k in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        coeffs = INTEGERS
+        if k == 0 or size <= 2:
+            coeffs = st.one_of(INTEGERS, PARAMETERS)
+        monos = draw(st.lists(st.sampled_from(MONOMIALS), min_size=size,
+                              max_size=size, unique=True))
+        texts.append(generator_text({m: draw(coeffs) for m in monos}))
+    return texts
+
+
+def param_poly_to_sympy(p: ParamPoly):
+    import sympy
+
+    return sympy.Add(*(
+        to_sympy(coeff)
+        * sympy.Mul(*(sympy.Symbol(u) ** e for u, e in zip(p.unknowns, exps)))
+        for exps, coeff in p.terms.items()
+    ))
+
+
+def assert_matches_sympy(ideal: RelationIdeal):
+    sympy = pytest.importorskip("sympy")
+    gens = [param_poly_to_sympy(g) for g in ideal.generators]
+    syms = [sympy.Symbol(u) for u in ideal.unknowns]
+    params = sorted(
+        set().union(*(g.free_symbols for g in gens)) - set(syms), key=str
+    )
+    domain = sympy.QQ.frac_field(*params) if params else sympy.QQ
+    want = sympy.groebner(gens, *syms, order="grlex", domain=domain).exprs
+    got = [param_poly_to_sympy(b) for b in ideal.groebner]
+    assert len(got) == len(want)
+    for g in got:
+        assert any(sympy.cancel(g - w) == 0 for w in want), g
+    # reduced: no term is divisible by another element's leading monomial
+    leads = [b.leading()[0] for b in ideal.groebner]
+    for i, b in enumerate(ideal.groebner):
+        for exps in b.terms:
+            for k, lead in enumerate(leads):
+                assert k == i or not all(
+                    e >= l for e, l in zip(exps, lead)
+                ), (str(b), str(ideal.groebner[k]))
+
+
+# sympy's import and groebner are slow next to the deadline
+@settings(deadline=None)
+@given(systems())
+def test_groebner_basis_matches_sympy(texts):
+    assert_matches_sympy(groebner_basis([pp(t) for t in texts], AB))
+
+
+def test_atlas_bases_match_sympy():
+    from ckexpand.expand import run_atlas
+
+    ideals = [r.constraints for r in run_atlas() if r.constraints is not None]
+    assert len(ideals) == 12
+    for ideal in ideals:
+        assert_matches_sympy(ideal)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import to_sympy
+
 from ckexpand.poly import (
     Poly,
     Scalar,
@@ -81,19 +83,6 @@ scalars = st.one_of(
     polys.map(Scalar),
     st.builds(Scalar, polys, nonzero_polys),
 )
-
-
-def to_sympy(s: Scalar):
-    import sympy
-
-    def poly(p: Poly):
-        return sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(sympy.Symbol(sym) ** e for sym, e in mono))
-            for mono, c in p.terms.items()
-        ))
-
-    return poly(s.num) / poly(s.den)
 
 
 # sympy's import and cancel are slow next to the deadline
