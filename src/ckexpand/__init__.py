@@ -19,6 +19,7 @@ from .liealg import (
     CATALOG,
     ContractionError,
     Decomposition,
+    FamilyMember,
     Involution,
     LieAlgebra,
     apply_involution,
@@ -28,6 +29,7 @@ from .liealg import (
     catalog_lookup,
     check_structure,
     contract,
+    identify,
     make_ck_algebra,
     make_extended_galilei,
     standard_involutions,

@@ -29,11 +29,13 @@ from .expand import (
 from .liealg import (
     BUILTIN_NAMES,
     LieAlgebra,
+    UnsupportedAlgebraError,
     builtin_algebra,
     check_structure,
     contract,
+    identify,
 )
-from .uea import casimir, is_central, UnsupportedAlgebraError
+from .uea import casimir, is_central
 
 __all__ = ["main"]
 
@@ -67,18 +69,20 @@ def cmd_algebra(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_algebra(args.name)
     report = check_structure(g)
-    casimirs = {}
     try:
+        member = identify(g)
+    except UnsupportedAlgebraError as exc:
+        casimirs, skipped = None, exc
+    else:
+        casimirs = {}
         for index in (1, 2):
-            element = casimir(g, index)
+            element = casimir(g, index, member)
             central, witness = is_central(element)
             casimirs[f"C{index}"] = {
                 "element": str(element),
                 "central": central,
                 "witness": None if central else witness[0],
             }
-    except UnsupportedAlgebraError:
-        casimirs = None
     ok = report.ok and (
         casimirs is None or all(c["central"] for c in casimirs.values())
     )
@@ -104,7 +108,7 @@ def cmd_verify(args) -> int:
     for triple, residual in report.jacobi_failures:
         print(f"  violated on {triple}: {g.combo_str(residual)}")
     if casimirs is None:
-        print("  no Casimir elements defined for this algebra")
+        print(f"  Casimir checks skipped: {skipped}")
     else:
         for label, info in casimirs.items():
             verdict = "central" if info["central"] else "NOT central"

@@ -35,9 +35,12 @@ from .groebner import (
 from .liealg import (
     CATALOG,
     Decomposition,
+    FamilyMember,
     LieAlgebra,
+    UnsupportedAlgebraError,
+    _central_labels,
     builtin_algebra,
-    contract,
+    identify,
     make_ck_algebra,
     with_central_generator,
 )
@@ -45,6 +48,7 @@ from .poly import Scalar, as_scalar
 from .uea import (
     CentralReducer,
     UEAElement,
+    _Span,
     casimir,
     standard_relations,
     uea_commutator,
@@ -91,15 +95,8 @@ class ExpansionProblem:
     omega_symbol: str
     omega_value: Scalar
     relations: list
+    member: FamilyMember  # identify(initial), read once per problem
     expected_failure: bool = False
-
-
-def _central_labels(g: LieAlgebra):
-    out = []
-    for i, label in enumerate(g.generators):
-        if all(not g.bracket(i, j) for j in range(g.dim)):
-            out.append(label)
-    return tuple(out)
 
 
 def make_problem(initial, axis: int, omega="sym", name=None,
@@ -119,47 +116,24 @@ def make_problem(initial, axis: int, omega="sym", name=None,
     )
     if omega_value.is_zero:
         raise ExpansionError("nothing to expand: target coefficient is zero")
-    family = initial.meta.get("family")
-    if family == "ck":
-        w1, w2 = initial.meta["w1"], initial.meta["w2"]
-        if not (w1 if axis == 1 else w2).is_zero:
-            raise ExpansionError(
-                f"initial algebra must have w{axis} = 0 to expand that axis"
-            )
-        pair = (omega_value, w2) if axis == 1 else (w1, omega_value)
-        target = make_ck_algebra(*pair)
-    elif family == "ext-galilei":
-        if axis == 2:
-            raise ExpansionError(
-                "the central extension is an axis-1 (space-time) seed"
-            )
-        target = with_central_generator(make_ck_algebra(omega_value, 0))
-    else:
-        raise ExpansionError(f"unsupported initial algebra {initial.name!r}")
-    # the problem must reverse a contraction: contracting the target along
-    # the same axis recovers the initial brackets, except for brackets
-    # valued purely in central generators (the extension bracket m*Xi)
-    kind = "space-time" if axis == 1 else "speed-space"
-    back = contract(target, kind)
-    central = set(_central_labels(initial))
-    for (i, j), combo in initial.brackets.items():
-        expected = back.brackets.get((i, j), {})
-        noncentral = {
-            n: c for n, c in combo.items()
-            if initial.generators[n] not in central
-        }
-        if set(noncentral) != set(expected) or any(
-            noncentral[n] != expected[n] for n in noncentral
-        ):
-            raise ExpansionError(
-                "initial algebra is not the contraction of the target"
-            )
-    for key in set(back.brackets) - set(initial.brackets):
-        if back.brackets[key]:
-            raise ExpansionError(
-                "initial algebra is not the contraction of the target"
-            )
-    relations = standard_relations(initial)
+    member = identify(initial)
+    w1, w2 = member.w1, member.w2
+    if not (w1 if axis == 1 else w2).is_zero:
+        raise ExpansionError(
+            f"initial algebra must have w{axis} = 0 to expand that axis"
+        )
+    if axis == 2 and not member.m.is_zero:
+        raise ExpansionError(
+            "the central extension is an axis-1 (space-time) seed"
+        )
+    # identify checked every bracket of the initial algebra at these
+    # (w1, w2), so it is the target's contraction along this axis, up to
+    # the extension bracket m*Xi
+    pair = (omega_value, w2) if axis == 1 else (w1, omega_value)
+    target = make_ck_algebra(*pair)
+    if member.central is not None:
+        target = with_central_generator(target, member.central)
+    relations = standard_relations(initial, member)
     if name is None:
         name = f"{initial.name}->w{axis}={omega_value}"
     return ExpansionProblem(
@@ -170,6 +144,7 @@ def make_problem(initial, axis: int, omega="sym", name=None,
         omega_symbol=omega_symbol,
         omega_value=omega_value,
         relations=relations,
+        member=member,
         expected_failure=expected_failure,
     )
 
@@ -207,26 +182,20 @@ def split_casimirs(problem: ExpansionProblem):
     algebra; both pieces are free of the expanded coefficient."""
     g = problem.initial
     sym = problem.omega_symbol
-    # build the target Casimirs with the expanded coefficient symbolic so
-    # the linear coefficient can be extracted even for numeric targets
-    if g.meta.get("family") == "ext-galilei":
-        generic = with_central_generator(make_ck_algebra(Scalar.symbol(sym), 0))
-        # the coefficient-free part is the Casimir of the *contracted*
-        # algebra (plain Galilei), not of the centrally extended seed
-        plain = with_central_generator(make_ck_algebra(0, 0))
-    else:
-        w1, w2 = g.meta["w1"], g.meta["w2"]
-        pair = (
-            (Scalar.symbol(sym), w2) if problem.axis == 1
-            else (w1, Scalar.symbol(sym))
-        )
-        generic = make_ck_algebra(*pair)
-        plain = g
+    # the coefficient-free part is the Casimir without the extension (the
+    # target has none), so with m = 0; the target Casimirs keep the
+    # expanded coefficient symbolic so the linear part can be read off
+    # even for numeric targets
+    plain = problem.member._replace(m=Scalar.zero())
+    omega = Scalar.symbol(sym)
+    target = (
+        plain._replace(w1=omega) if problem.axis == 1
+        else plain._replace(w2=omega)
+    )
     splits = []
     for index in (1, 2):
-        target_cas = casimir(generic, index)
-        base, jpiece = _split_linear(target_cas, sym, g)
-        if not (base - casimir(plain, index).rebase(g)).is_zero:
+        base, jpiece = _split_linear(casimir(g, index, target), sym, g)
+        if not (base - casimir(g, index, plain)).is_zero:
             raise ExpansionError(
                 f"coefficient-free part of C'{index} is not the initial Casimir"
             )
@@ -568,13 +537,12 @@ def verify_expansion(problem, unchanged, constraints, remainders,
 
 
 def analyze_closure(g: LieAlgebra, primed) -> ClosureReport:
-    """Check that the primed set closes under commutators and compare the
-    induced bracket table against every cell of the catalog."""
+    """Check that the primed set closes under commutators and identify the
+    induced bracket table: it matches a catalog cell when its (w1, w2) is
+    exactly that cell's signs and it carries no central extension."""
     labels = list(g.generators)
     elements = [primed[lab] for lab in labels]
     # echelonize the primed elements for exact membership tests
-    from .uea import _Span
-
     span = _Span()
     for idx, el in enumerate(elements):
         span.add(el.terms, idx)
@@ -595,25 +563,13 @@ def analyze_closure(g: LieAlgebra, primed) -> ClosureReport:
             )
     matches = None
     if closes:
-        for signs in CATALOG:
-            cell = make_ck_algebra(*signs)
-            same = True
-            for i, j in itertools.combinations(range(len(labels)), 2):
-                if labels[i] not in cell._index or labels[j] not in cell._index:
-                    continue
-                want = cell.bracket(cell.index(labels[i]), cell.index(labels[j]))
-                want = {cell.generators[n]: c for n, c in want.items()}
-                got = {
-                    labels[n]: c for n, c in combos.get((i, j), {}).items()
-                }
-                if set(want) != set(got) or any(
-                    want[lab] != got[lab] for lab in want
-                ):
-                    same = False
-                    break
-            if same:
-                matches = signs
-                break
+        try:
+            member = identify(LieAlgebra(g.name, labels, combos))
+        except UnsupportedAlgebraError:
+            member = None
+        if member is not None and member.m.is_zero:
+            key = (member.w1, member.w2)
+            matches = next((s for s in CATALOG if key == s), None)
     return ClosureReport(closes=closes, table=table, matches_cell=matches)
 
 
@@ -674,7 +630,7 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
             if any(
                 coeff.num.degree_in(v) or coeff.den.degree_in(v)
                 for coeff in eq.terms.values()
-                for v in _relation_symbols(rel)
+                for v in rel.scalar.variables()
             )
         }
     )
@@ -683,10 +639,6 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
         + (", ".join(eigencount) if eigencount else "none")
     )
     return report
-
-
-def _relation_symbols(rel):
-    return rel.scalar.variables()
 
 
 def verify_with_values(report: ExpansionReport, values: dict):

@@ -1,7 +1,8 @@
 """Lie algebras given by structure constants.
 
 Covers the two-parameter Cayley-Klein family of 3d isometry / (2+1)d
-kinematical algebras, its centrally extended Galilei cousin, involutive
+kinematical algebras, its centrally extended Galilei cousin, reading an
+algebra's place in the family off its bracket table, involutive
 automorphisms and their Cartan-type decompositions, Inonu-Wigner
 contractions, and the nine-cell catalog of algebras indexed by the signs
 of the two curvature coefficients (w1, w2).
@@ -13,6 +14,7 @@ tables store only pairs (i, j) with i < j, antisymmetry being implied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .poly import Scalar, as_scalar
 
@@ -22,9 +24,12 @@ __all__ = [
     "Decomposition",
     "CatalogEntry",
     "ContractionError",
+    "UnsupportedAlgebraError",
+    "FamilyMember",
     "make_ck_algebra",
     "make_extended_galilei",
     "with_central_generator",
+    "identify",
     "check_structure",
     "standard_involutions",
     "apply_involution",
@@ -45,20 +50,27 @@ class ContractionError(ValueError):
     """A rescaled structure constant has a negative power of epsilon."""
 
 
+class UnsupportedAlgebraError(ValueError):
+    """The algebra is not a member of the family, so it has no Casimirs."""
+
+
 def _clean(combo):
     return {n: c for n, c in combo.items() if not c.is_zero}
+
+
+def _same_combo(a: dict, b: dict) -> bool:
+    return set(a) == set(b) and all(a[n] == b[n] for n in a)
 
 
 class LieAlgebra:
     """Ordered generators plus an antisymmetric bracket table."""
 
-    def __init__(self, name, generators, brackets, parameters=(), meta=None):
+    def __init__(self, name, generators, brackets, parameters=()):
         self.name = name
         self.generators = tuple(generators)
         self.brackets = {k: _clean(v) for k, v in brackets.items()}
         self.brackets = {k: v for k, v in self.brackets.items() if v}
         self.parameters = tuple(parameters)
-        self.meta = dict(meta or {})
         self._index = {g: i for i, g in enumerate(self.generators)}
 
     @property
@@ -101,15 +113,10 @@ class LieAlgebra:
         """Structural equality of bracket tables under the fixed order."""
         if self.generators != other.generators:
             return False
-        keys = set(self.brackets) | set(other.brackets)
-        for key in keys:
-            a = self.brackets.get(key, {})
-            b = other.brackets.get(key, {})
-            if set(a) != set(b):
-                return False
-            if any(a[n] != b[n] for n in a):
-                return False
-        return True
+        return all(
+            _same_combo(self.brackets.get(key, {}), other.brackets.get(key, {}))
+            for key in set(self.brackets) | set(other.brackets)
+        )
 
     def combo_str(self, combo: dict) -> str:
         if not combo:
@@ -233,59 +240,42 @@ class _Builder:
         self.table[(i, j)] = entry
 
 
-def make_ck_algebra(w1, w2, name=None) -> LieAlgebra:
-    """The two-parameter family of 3d isometry / kinematical algebras."""
-    w1 = as_scalar(w1)
-    w2 = as_scalar(w2)
-    b = _Builder(CK_GENERATORS)
+def _family_table(w1, w2, m=0) -> dict:
+    """The family's bracket table in the global order; m*Xi extends [P_i,K_i].
+
+    Entries may carry zero coefficients, which ``LieAlgebra`` drops.
+    """
+    b = _Builder(GLOBAL_ORDER)
     b.set("J", "P1", {"P2": 1})
     b.set("J", "P2", {"P1": -1})
     b.set("J", "K1", {"K2": 1})
     b.set("J", "K2", {"K1": -1})
     b.set("P1", "P2", {"J": w1 * w2})
     b.set("K1", "K2", {"J": w2})
-    b.set("P1", "K1", {"H": w2})
-    b.set("P2", "K2", {"H": w2})
+    b.set("P1", "K1", {"H": w2, "Xi": m})
+    b.set("P2", "K2", {"H": w2, "Xi": m})
     b.set("H", "P1", {"K1": w1})
     b.set("H", "P2", {"K2": w1})
     b.set("H", "K1", {"P1": -1})
     b.set("H", "K2", {"P2": -1})
+    return b.table
+
+
+def make_ck_algebra(w1, w2, name=None) -> LieAlgebra:
+    """The two-parameter family of 3d isometry / kinematical algebras."""
+    w1 = as_scalar(w1)
+    w2 = as_scalar(w2)
     params = tuple(sorted(set(w1.variables()) | set(w2.variables())))
     if name is None:
         name = _ck_display_name(w1, w2)
-    return LieAlgebra(
-        name,
-        CK_GENERATORS,
-        b.table,
-        parameters=params,
-        meta={"family": "ck", "w1": w1, "w2": w2},
-    )
+    return LieAlgebra(name, CK_GENERATORS, _family_table(w1, w2), params)
 
 
 def make_extended_galilei(m="m", name="ext-galilei") -> LieAlgebra:
     """Galilei with central generator Xi and [P_i, K_i] = m*Xi."""
     m = as_scalar(m)
-    gens = GLOBAL_ORDER
-    b = _Builder(gens)
-    b.set("J", "P1", {"P2": 1})
-    b.set("J", "P2", {"P1": -1})
-    b.set("J", "K1", {"K2": 1})
-    b.set("J", "K2", {"K1": -1})
-    b.set("P1", "K1", {"Xi": m})
-    b.set("P2", "K2", {"Xi": m})
-    b.set("H", "K1", {"P1": -1})
-    b.set("H", "K2", {"P2": -1})
     return LieAlgebra(
-        name,
-        gens,
-        b.table,
-        parameters=tuple(m.variables()),
-        meta={
-            "family": "ext-galilei",
-            "m": m,
-            "w1": Scalar.zero(),
-            "w2": Scalar.zero(),
-        },
+        name, GLOBAL_ORDER, _family_table(0, 0, m), tuple(m.variables())
     )
 
 
@@ -298,8 +288,63 @@ def with_central_generator(g: LieAlgebra, label: str = "Xi") -> LieAlgebra:
         g.generators + (label,),
         dict(g.brackets),
         parameters=g.parameters,
-        meta={**g.meta, "central": label},
     )
+
+
+# -- identification from the bracket table --------------------------------------
+
+
+class FamilyMember(NamedTuple):
+    """Where an algebra sits in the family, as read by ``identify``."""
+
+    w1: Scalar
+    w2: Scalar
+    m: Scalar  # the central extension [P_i, K_i] = m*central; zero if none
+    central: str | None  # label of the seventh, central generator
+
+
+def _central_labels(g: LieAlgebra):
+    out = []
+    for i, label in enumerate(g.generators):
+        if all(not g.bracket(i, j) for j in range(g.dim)):
+            out.append(label)
+    return tuple(out)
+
+
+def identify(g: LieAlgebra) -> FamilyMember:
+    """Read (w1, w2, m) off the brackets and check the whole table.
+
+    w1 is the K1 coefficient of [H,P1], w2 the H coefficient of [P1,K1]
+    and m its coefficient on the optional seventh generator.  Every
+    bracket must then equal the family's at those values, with m on
+    [P_i,K_i] and the seventh generator central; the first one that does
+    not is named in the UnsupportedAlgebraError.
+    """
+    gens = g.generators
+    if gens[:6] != CK_GENERATORS or g.dim > 7:
+        raise UnsupportedAlgebraError(
+            f"{g.name}: generators must be H P1 P2 K1 K2 J [Xi] in this "
+            f"order, got {' '.join(gens)}"
+        )
+    central = gens[6] if g.dim == 7 else None
+    zero = Scalar.zero()
+    w1 = g.bracket_labels("H", "P1").get("K1", zero)
+    pk = g.bracket_labels("P1", "K1")
+    w2 = pk.get("H", zero)
+    m = pk.get(central, zero)
+    want = _family_table(w1, w2, m)
+    for key in sorted(set(g.brackets) | set(want)):
+        got = g.brackets.get(key, {})
+        expected = _clean(want.get(key, {}))
+        if not _same_combo(got, expected):
+            i, j = key
+            values = f"w1 = {w1}, w2 = {w2}" + (f", m = {m}" if central else "")
+            raise UnsupportedAlgebraError(
+                f"{g.name} is not in the Cayley-Klein family: "
+                f"[{gens[i]},{gens[j]}] = {g.combo_str(got)}, expected "
+                f"{g.combo_str(expected)} for {values}"
+            )
+    return FamilyMember(w1, w2, m, central)
 
 
 # -- structure soundness -----------------------------------------------------
@@ -506,14 +551,14 @@ def contract(g: LieAlgebra, kind: str) -> LieAlgebra:
                 kept[n] = c
         if kept:
             new_table[(i, j)] = kept
-    meta = dict(g.meta)
-    axis = "w1" if kind == "space-time" else "w2"
-    if axis in meta:
-        meta[axis] = Scalar.zero()
-    name = f"{g.name}->{kind}"
-    if meta.get("family") == "ck":
-        name = _ck_display_name(meta["w1"], meta["w2"])
-    return LieAlgebra(name, g.generators, new_table, g.parameters, meta)
+    out = LieAlgebra(f"{g.name}->{kind}", g.generators, new_table, g.parameters)
+    try:
+        member = identify(out)
+    except UnsupportedAlgebraError:
+        return out
+    if member.central is None:
+        out.name = _ck_display_name(member.w1, member.w2)
+    return out
 
 
 # -- the nine-cell catalog -----------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
 from .poly import Scalar, as_scalar, parse_scalar, _tokenize, _Parser
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
 
 class MixedAlgebraError(ValueError):
     """Operands belong to different algebras."""
-
-
-class UnsupportedAlgebraError(ValueError):
-    """No Casimir elements are defined for this algebra."""
 
 
 class BoundExceededError(ValueError):
@@ -176,12 +172,6 @@ class UEAElement:
                 terms[exps] = val
         return UEAElement(self.algebra, terms)
 
-    def rebase(self, algebra: LieAlgebra) -> "UEAElement":
-        """Reinterpret over another algebra with the same generator list."""
-        if algebra.generators != self.algebra.generators:
-            raise MixedAlgebraError("generator lists differ, cannot rebase")
-        return UEAElement(algebra, dict(self.terms))
-
     # -- textual format ---------------------------------------------------------
 
     def __str__(self):
@@ -276,34 +266,17 @@ def uea_commutator(a: UEAElement, b: UEAElement) -> UEAElement:
 # -- Casimir elements ----------------------------------------------------------
 
 
-def _require_commuting(g: LieAlgebra, pairs):
-    # guards the ordering-free entry of the Casimir expressions
-    for x, y in pairs:
-        if g.bracket_labels(x, y):
-            raise UnsupportedAlgebraError(
-                f"[{x},{y}] != 0 in {g.name}: Casimir entry would be ambiguous"
-            )
-
-
-def casimir(g: LieAlgebra, index: int) -> UEAElement:
+def casimir(g: LieAlgebra, index: int, member=None) -> UEAElement:
     """The quadratic invariants of the kinematical family.
 
-    For the centrally extended Galilei algebra the product m*Xi takes
-    over the role of w2*H: the invariants are P^2 + 2m*Xi*H and
-    -P1*K2 + P2*K1 + m*Xi*J (the unextended expressions are not central
-    once the extension is switched on).
+    The parameters (w1, w2, m) are those ``identify`` reads off g, unless
+    ``member`` gives others for the same generators.  With a central
+    extension the product m*Xi takes over the role of w2*H: the
+    invariants gain 2m*Xi*H and m*Xi*J (the unextended expressions are
+    not central once the extension is switched on).
     """
-    family = g.meta.get("family")
-    if family == "ck":
-        w1, w2 = g.meta["w1"], g.meta["w2"]
-        extension = Scalar.zero()
-    elif family == "ext-galilei":
-        w1 = w2 = Scalar.zero()
-        extension = g.meta["m"]
-    else:
-        raise UnsupportedAlgebraError(f"no Casimirs defined for {g.name!r}")
+    w1, w2, m, central = identify(g) if member is None else member
     if index == 1:
-        _require_commuting(g, [("H", "Xi")] if not extension.is_zero else [])
         parts = [
             UEAElement.monomial(g, {"H": 2}, w2),
             UEAElement.monomial(g, {"P1": 2}),
@@ -312,21 +285,16 @@ def casimir(g: LieAlgebra, index: int) -> UEAElement:
             UEAElement.monomial(g, {"K2": 2}, w1),
             UEAElement.monomial(g, {"J": 2}, w1 * w2),
         ]
-        if not extension.is_zero:
-            parts.append(
-                UEAElement.monomial(g, {"H": 1, "Xi": 1}, 2 * extension)
-            )
+        if not m.is_zero:
+            parts.append(UEAElement.monomial(g, {"H": 1, central: 1}, 2 * m))
     elif index == 2:
-        _require_commuting(g, [("H", "J"), ("P1", "K2"), ("P2", "K1")])
         parts = [
             UEAElement.monomial(g, {"H": 1, "J": 1}, w2),
             UEAElement.monomial(g, {"P1": 1, "K2": 1}, -1),
             UEAElement.monomial(g, {"P2": 1, "K1": 1}),
         ]
-        if not extension.is_zero:
-            parts.append(
-                UEAElement.monomial(g, {"J": 1, "Xi": 1}, extension)
-            )
+        if not m.is_zero:
+            parts.append(UEAElement.monomial(g, {"J": 1, central: 1}, m))
     else:
         raise ValueError("Casimir index must be 1 or 2")
     total = UEAElement(g)
@@ -357,21 +325,20 @@ class CentralRelation:
     scalar: Scalar
 
 
-def standard_relations(g: LieAlgebra) -> list:
-    """Casimir eigenvalue relations (plus m*Xi for the central extension)."""
+def standard_relations(g: LieAlgebra, member=None) -> list:
+    """Casimir eigenvalue relations (plus m*Xi for the central extension);
+    ``member`` is g's ``identify`` result when the caller has it."""
+    member = identify(g) if member is None else member
     relations = [
-        CentralRelation("C1", casimir(g, 1), Scalar.symbol("c1")),
-        CentralRelation("C2", casimir(g, 2), Scalar.symbol("c2")),
+        CentralRelation("C1", casimir(g, 1, member), Scalar.symbol("c1")),
+        CentralRelation("C2", casimir(g, 2, member), Scalar.symbol("c2")),
     ]
-    family = g.meta.get("family")
-    central = g.meta.get("central")
-    if family == "ext-galilei" or central:
-        m = g.meta.get("m", Scalar.symbol("m"))
+    if not member.m.is_zero:
         relations.append(
             CentralRelation(
                 "mXi",
-                UEAElement.monomial(g, {"Xi": 1}, m),
-                as_scalar(m) * Scalar.symbol("xi"),
+                UEAElement.monomial(g, {member.central: 1}, member.m),
+                member.m * Scalar.symbol("xi"),
             )
         )
     return relations

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from ckexpand.cli import main
+from ckexpand.expand import ATLAS
+from ckexpand.liealg import BUILTIN_NAMES
+
+BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
 
 
 def run(capsys, *argv):
@@ -137,6 +141,47 @@ def test_degree_bound_env(capsys):
     code, _, _ = run(capsys, "expand", "poincare", "--axis", "1",
                      "--degree-bound", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_definition_file_matches_builtin(capsys, tmp_path, name):
+    # a builtin dumped to a file gets the same checks and the same answers
+    code, out, _ = run(capsys, "algebra", name, "--json")
+    assert code == 0
+    path = tmp_path / f"{name}.json"
+    path.write_text(out)
+    commands = [["verify", "--json"]] + [
+        ["contract", "--kind", kind, "--json"]
+        for kind in ("space-time", "speed-space")
+    ]
+    for _, initial, axis, omega, expected_failure in ATLAS:
+        if initial == name:
+            commands.append(
+                ["expand", "--axis", str(axis), "--omega", str(omega), "--json"]
+                + (["--expect-failure"] if expected_failure else [])
+            )
+    for verb, *rest in commands:
+        from_name = run(capsys, verb, name, *rest)
+        from_file = run(capsys, verb, str(path), *rest)
+        assert from_file == from_name, (verb, rest)
+        assert from_name[0] == 0
+
+
+def test_off_family_definition_exits_2(capsys, tmp_path):
+    _, out, _ = run(capsys, "algebra", "poincare", "--json")
+    data = json.loads(out)
+    data["brackets"]["[H,P1]"] = "K2"
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "expand", str(path), "--axis", "1")
+    assert code == 2
+    assert err.startswith("error:") and "[H,P1] = K2" in err
+    # verify still runs Jacobi and says why it skips the Casimirs
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "Casimir checks skipped" in out and "[H,P1] = K2" in out
+    _, out, _ = run(capsys, "verify", str(path), "--json")
+    assert json.loads(out)["casimirs"] is None
 
 
 MALFORMED = {

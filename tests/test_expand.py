@@ -6,6 +6,7 @@ from ckexpand.expand import (
     ATLAS,
     ExpansionError,
     InconsistentSystemError,
+    analyze_closure,
     build_J,
     CasimirSplit,
     derive_constraints,
@@ -15,7 +16,13 @@ from ckexpand.expand import (
     verify_with_values,
 )
 from ckexpand.groebner import ParamPoly, groebner_basis, ideal_equals
-from ckexpand.liealg import LieAlgebra, builtin_algebra, make_ck_algebra
+from ckexpand.liealg import (
+    BUILTIN_NAMES,
+    LieAlgebra,
+    builtin_algebra,
+    identify,
+    make_ck_algebra,
+)
 from ckexpand.poly import parse_scalar
 from ckexpand.uea import UEAElement, parse_element
 
@@ -58,8 +65,8 @@ def ext_problem():
 def test_make_problem_invariants():
     p = axis1_problem()
     assert p.omega_symbol == "w1"
-    assert p.target.meta["w1"] == scal("w1")
-    assert p.target.meta["w2"] == scal("w2")
+    assert identify(p.target).w1 == scal("w1")
+    assert identify(p.target).w2 == scal("w2")
     with pytest.raises(ExpansionError):
         make_problem("poincare", 3)
     with pytest.raises(ExpansionError):
@@ -262,9 +269,34 @@ def test_inconsistent_target_is_detected():
     bad = dict(g.brackets)
     i, j = g.index("H"), g.index("P1")
     bad[(i, j)] = {g.index("K2"): scal("w1")}
-    problem.target = LieAlgebra(g.name, g.generators, bad, meta=g.meta)
+    problem.target = LieAlgebra(g.name, g.generators, bad)
     with pytest.raises(InconsistentSystemError):
         derive_constraints(problem, report.primed)
+
+
+def test_each_algebra_is_identified_at_most_once(monkeypatch):
+    import ckexpand.expand
+    import ckexpand.liealg
+    import ckexpand.uea
+
+    seen = []
+    original = ckexpand.liealg.identify
+
+    def counted(g):
+        seen.append(g)
+        return original(g)
+
+    for module in (ckexpand.liealg, ckexpand.uea, ckexpand.expand):
+        monkeypatch.setattr(module, "identify", counted)
+    # a ck seed, the central extension, and the closure path
+    for args in (("poincare", 1), ("ext-galilei", 1), ("galilei", 1, 1)):
+        seen.clear()
+        report = run_expansion(make_problem(*args))
+        assert report.problem.initial in seen, args
+        assert all(
+            sum(other is g for other in seen) == 1 for g in seen
+        ), (args, [g.name for g in seen])
+    assert report.closure is not None
 
 
 def test_each_bracket_is_computed_once(monkeypatch):
@@ -353,6 +385,21 @@ def test_negative_control_closes_but_is_no_ck_cell():
     assert report.closure.matches_cell is None
     # H' became central, which no cell of the family allows
     assert not any("H" in key for key in report.closure.table)
+
+
+def test_closure_matches_exactly_the_cells_own_signs():
+    # the unprimed generators close on their own table
+    for name, signs in BUILTIN_NAMES.items():
+        g = builtin_algebra(name)
+        closure = analyze_closure(g, gens(g))
+        assert closure.closes and closure.matches_cell == signs, name
+    # the match is on exact coefficients, not on their signs
+    so4 = builtin_algebra("so4")
+    bad = dict(so4.brackets)
+    bad[(so4.index("H"), so4.index("P1"))] = {so4.index("K1"): scal("2")}
+    for g in (LieAlgebra("so4", so4.generators, bad), make_ck_algebra(2, 1)):
+        closure = analyze_closure(g, gens(g))
+        assert closure.closes and closure.matches_cell is None
 
 
 # -- atlas ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """The term-arithmetic kernel and the names the benchmark reads."""
 
+import ast
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import ckexpand
 from ckexpand import kernel
+
+SPANS = Path(__file__).resolve().parent.parent / "ckbench" / "spans.py"
 
 
 A = {(("x", 1),): Fraction(2), (("y", 2),): Fraction(-1, 3)}
@@ -26,3 +31,17 @@ def test_benchmark_names():
     # replacing the object wherever it is bound; Poly must call that object.
     assert ckexpand.KERNEL_IMPLEMENTATION == "python"
     assert ckexpand.poly.terms_mul is ckexpand.kernel.terms_mul
+    # ckbench/spans.py wraps engine functions by module and attribute name;
+    # read its tables without importing it and resolve every entry
+    tables = {}
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS"):
+                tables[target.id] = ast.literal_eval(node.value)
+    assert len(tables["FUNCTIONS"]) >= 17 and len(tables["METHODS"]) >= 2
+    for module, attribute, _ in tables["FUNCTIONS"]:
+        assert callable(getattr(importlib.import_module(module), attribute))
+    for module, cls, method, _ in tables["METHODS"]:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(getattr(owner, method))

@@ -1,6 +1,7 @@
 """Structure constants, involutions, contractions, catalog."""
 
 import itertools
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from ckexpand.liealg import (
     ContractionError,
     Decomposition,
     LieAlgebra,
+    UnsupportedAlgebraError,
     apply_involution,
     builtin_algebra,
     cartan_check,
@@ -17,6 +19,7 @@ from ckexpand.liealg import (
     catalog_lookup,
     check_structure,
     contract,
+    identify,
     make_ck_algebra,
     make_extended_galilei,
     standard_involutions,
@@ -140,13 +143,13 @@ def test_cartan_check_rejects_non_partition():
 def test_space_time_contraction_kills_w1():
     g = contract(SYMBOLIC, "space-time")
     assert g.same_brackets(make_ck_algebra(0, "w2"))
-    assert g.meta["w1"].is_zero
+    assert identify(g).w1.is_zero
 
 
 def test_speed_space_contraction_kills_w2():
     g = contract(SYMBOLIC, "speed-space")
     assert g.same_brackets(make_ck_algebra("w1", 0))
-    assert g.meta["w2"].is_zero
+    assert identify(g).w2.is_zero
 
 
 def test_all_twelve_contraction_arrows():
@@ -191,9 +194,52 @@ def test_catalog_lookup():
 
 def test_builtin_names_cover_the_grid():
     assert sorted(BUILTIN_NAMES.values()) == sorted(CATALOG.keys())
-    assert builtin_algebra("poincare").meta["w2"] == as_scalar(-1)
+    assert identify(builtin_algebra("poincare")).w2 == as_scalar(-1)
     with pytest.raises(KeyError):
         builtin_algebra("nope")
+
+
+# -- identification from the brackets ---------------------------------------------
+
+
+def test_identify_reads_every_builtin():
+    zero = as_scalar(0)
+    for name, (s1, s2) in BUILTIN_NAMES.items():
+        assert identify(builtin_algebra(name)) == (s1, s2, zero, None), name
+    assert identify(SYMBOLIC) == (as_scalar("w1"), as_scalar("w2"), zero, None)
+    ext = make_extended_galilei()
+    assert identify(ext) == (zero, zero, as_scalar("m"), "Xi")
+    # a definition file carries the same structure and so the same answer
+    for g in (SYMBOLIC, ext, builtin_algebra("so22")):
+        assert identify(LieAlgebra.from_json_dict(g.to_json_dict())) == identify(g)
+    centered = with_central_generator(make_ck_algebra(1, 0), "Z")
+    assert identify(centered) == (as_scalar(1), zero, zero, "Z")
+
+
+def test_identify_names_the_first_bracket_off_the_family():
+    def altered(g, x, y, combo):
+        data = g.to_json_dict()
+        data["brackets"][f"[{x},{y}]"] = combo
+        return LieAlgebra.from_json_dict(data)
+
+    cases = [
+        (altered(builtin_algebra("poincare"), "H", "P1", "K2"), "[H,P1] = K2"),
+        # w1 = 2 is read off [H,P1], so [H,P2] = K2 is the first mismatch
+        (altered(builtin_algebra("so4"), "H", "P1", "2*K1"), "[H,P2] = K2"),
+        (altered(make_extended_galilei(), "H", "Xi", "P1"), "[H,Xi] = P1"),
+        (LieAlgebra("short", ("H", "P1", "P2"), {}), "H P1 P2 K1 K2 J"),
+    ]
+    for g, named in cases:
+        with pytest.raises(UnsupportedAlgebraError, match=re.escape(named)):
+            identify(g)
+
+
+def test_contraction_names_follow_the_brackets():
+    # a definition file carries no name hint, only its brackets
+    so22_file = LieAlgebra.from_json_dict(builtin_algebra("so22").to_json_dict())
+    assert contract(so22_file, "space-time").name == "iso(2,1)"
+    ext = contract(make_extended_galilei(), "space-time")
+    assert ext.name == "ext-galilei->space-time"
 
 
 def test_json_roundtrip():

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from ckexpand.liealg import builtin_algebra, make_ck_algebra, make_extended_galilei
+from ckexpand.liealg import (
+    BUILTIN_NAMES,
+    UnsupportedAlgebraError,
+    builtin_algebra,
+    contract,
+    identify,
+    make_ck_algebra,
+    make_extended_galilei,
+)
 from ckexpand.poly import Scalar, as_scalar, parse_scalar
 from ckexpand.uea import (
     BoundExceededError,
@@ -113,6 +121,26 @@ def test_extended_galilei_casimirs_absorb_the_extension():
     assert is_central(UEAElement.generator(EXT, "Xi"))[0]
     # the unextended expressions stop being central once [P,K] = m*Xi
     assert not is_central(parse_element(EXT, "P1^2 + P2^2"))[0]
+
+
+def test_contracted_algebras_have_central_casimirs():
+    # a contraction drops the m*Xi extension of ext-galilei along either
+    # axis; the Casimirs must follow the brackets, not the seed's mass
+    accepted = 0
+    for name in sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]:
+        for kind in ("space-time", "speed-space"):
+            g = contract(builtin_algebra(name), kind)
+            try:
+                identify(g)
+            except UnsupportedAlgebraError:
+                continue
+            accepted += 1
+            for rel in standard_relations(g):
+                assert is_central(rel.element)[0], (name, kind, rel.label)
+    assert accepted == 22
+    g = contract(EXT, "speed-space")
+    assert casimir(g, 1) == parse_element(g, "P1^2 + P2^2")
+    assert [rel.label for rel in standard_relations(g)] == ["C1", "C2"]
 
 
 def test_non_central_element_reports_witness():
