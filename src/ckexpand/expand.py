@@ -345,14 +345,17 @@ def _constraint_ideal(eq_lists):
 
 
 def _pair_remainders(problem: ExpansionProblem, primed, reducer):
-    """The central remainder of every pair's bracket difference, keyed by
-    index pair; None when the bracket holds exactly."""
+    """The central remainder and reduction witness of every pair's bracket
+    difference, as two dicts keyed by index pair; None when the bracket
+    holds exactly."""
     g = problem.initial
-    remainders = {}
+    remainders, witnesses = {}, {}
     for i, j in itertools.combinations(range(g.dim), 2):
         diff = _bracket_diff(problem, primed, i, j)
-        remainders[(i, j)] = None if diff.is_zero else reducer.reduce(diff)[0]
-    return remainders
+        remainders[(i, j)], witnesses[(i, j)] = (
+            (None, None) if diff.is_zero else reducer.reduce(diff)
+        )
+    return remainders, witnesses
 
 
 def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
@@ -360,15 +363,16 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
     brackets, reduced modulo the Casimir eigenvalue relations.
 
     This is the one bracket pass of an arrow.  Returns the ideal, the
-    equations per pair name and the central remainder of every pair (None
-    when the bracket holds exactly), which ``verify_expansion`` reads.
+    equations per pair name, and the central remainder and reduction
+    witness of every pair (None when the bracket holds exactly);
+    ``verify_expansion`` reads the remainders.
     """
     g = problem.initial
     if reducer is None:
         reducer = CentralReducer(
             g, problem.relations, default_degree_bound(problem)
         )
-    remainders = _pair_remainders(problem, primed, reducer)
+    remainders, witnesses = _pair_remainders(problem, primed, reducer)
     per_pair = {}
     for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
@@ -376,7 +380,7 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
             [] if remainder is None else _remainder_equations(remainder, pair)
         )
     ideal = _constraint_ideal(per_pair.values())
-    return ideal, per_pair, remainders
+    return ideal, per_pair, remainders, witnesses
 
 
 @dataclass
@@ -406,8 +410,10 @@ class ExpansionReport:
     unchanged: tuple = ()
     constraints: RelationIdeal = None
     per_pair: dict = None
-    # central remainders from derive_constraints; not written to JSON
+    # central remainders and their witnesses (central_reduce triples) from
+    # derive_constraints; not written to JSON
     remainders: dict = None
+    witnesses: dict = None
     order_independent: bool = True
     brackets: list = field(default_factory=list)
     closure: ClosureReport = None
@@ -603,10 +609,13 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     bound = degree_bound if degree_bound is not None else default_degree_bound(problem)
     report.degree_bound = bound
     reducer = CentralReducer(g, problem.relations, bound)
-    ideal, per_pair, remainders = derive_constraints(problem, primed, reducer)
+    ideal, per_pair, remainders, witnesses = derive_constraints(
+        problem, primed, reducer
+    )
     report.constraints = ideal
     report.per_pair = per_pair
     report.remainders = remainders
+    report.witnesses = witnesses
     # order-independence: the equations in reversed pair order must
     # generate the same ideal
     ideal_rev = _constraint_ideal(reversed(list(per_pair.values())))
@@ -654,7 +663,7 @@ def verify_with_values(report: ExpansionReport, values: dict):
             g, problem.relations,
             report.degree_bound or default_degree_bound(problem),
         )
-        remainders = _pair_remainders(problem, report.primed, reducer)
+        remainders = _pair_remainders(problem, report.primed, reducer)[0]
     mapping = {k: as_scalar(v) for k, v in values.items()}
     outcomes = []
     for (i, j), remainder in remainders.items():

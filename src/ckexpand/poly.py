@@ -442,6 +442,8 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one and other.den.is_one:
+            return self.num == other.num
         # cross-multiplication: canonical Poly makes this structural
         return self.num * other.den == other.num * self.den
 

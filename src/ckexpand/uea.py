@@ -259,6 +259,14 @@ def uea_mul(a: UEAElement, b: UEAElement) -> UEAElement:
     return total
 
 
+def _times_generator(algebra, terms, k):
+    """The terms of x * X_k for x given by its terms."""
+    total = UEAElement(algebra)
+    for exps, coeff in terms.items():
+        total = total + pbw_normalize(algebra, _word_of(exps) + (k,), coeff)
+    return total.terms
+
+
 def uea_commutator(a: UEAElement, b: UEAElement) -> UEAElement:
     return uea_mul(a, b) - uea_mul(b, a)
 
@@ -345,19 +353,32 @@ def standard_relations(g: LieAlgebra, member=None) -> list:
 
 
 class _Span:
-    """Exact row-echelon span of UEA term vectors with combination tracking."""
+    """Exact row-echelon span of UEA term vectors with combination tracking.
+
+    Every row's key is its largest term under ``_mono_key``, and no two rows
+    share one; rows are otherwise left unreduced.  That is enough for
+    ``reduce`` to return the unique normal form modulo the span.
+    """
 
     def __init__(self):
         self.rows: dict = {}  # leading exps -> (terms, rep)
 
-    def reduce(self, terms):
+    def _eliminate(self, terms, full):
+        """Subtract multiples of rows from a copy of ``terms``: with ``full``
+        until no term is a row key, otherwise until the leading term is not
+        one.  Returns the residual and the tag combination subtracted."""
         terms = dict(terms)
         combo: dict = {}
-        while True:
-            hits = [m for m in terms if m in self.rows]
-            if not hits:
-                return terms, combo
-            m = max(hits, key=_mono_key)
+        while terms:
+            if full:
+                hits = [m for m in terms if m in self.rows]
+                if not hits:
+                    break
+                m = max(hits, key=_mono_key)
+            else:
+                m = max(terms, key=_mono_key)
+                if m not in self.rows:
+                    break
             row_terms, rep = self.rows[m]
             factor = terms[m] / row_terms[m]
             for exps, coeff in row_terms.items():
@@ -380,9 +401,13 @@ class _Span:
                     del combo[tag]
                 else:
                     combo[tag] = acc
+        return terms, combo
+
+    def reduce(self, terms):
+        return self._eliminate(terms, True)
 
     def add(self, terms, tag):
-        residual, combo = self.reduce(terms)
+        residual, combo = self._eliminate(terms, False)
         if not residual:
             return
         rep = {tag: Scalar.one()}
@@ -405,6 +430,8 @@ class CentralReducer:
 
     The span of {(element_i - scalar_i) * monomial : deg(monomial) <= bound}
     is echelonized once; reductions then subtract the exact best combination.
+    Cofactors come in ascending order, so each row is the row of its cofactor
+    without the last letter, times that letter.
     """
 
     def __init__(self, algebra: LieAlgebra, relations, bound: int):
@@ -416,19 +443,19 @@ class CentralReducer:
         for rel in self.relations:
             if rel.element.algebra is not algebra:
                 raise MixedAlgebraError("relation element from another algebra")
-            base = rel.element - one.scale(rel.scalar)
+            products = {(): (rel.element - one.scale(rel.scalar)).terms}
             for deg in range(bound + 1):
                 for word in itertools.combinations_with_replacement(
                     range(algebra.dim), deg
                 ):
+                    if word:
+                        products[word] = _times_generator(
+                            algebra, products[word[:-1]], word[-1]
+                        )
                     exps = [0] * algebra.dim
                     for idx in word:
                         exps[idx] += 1
-                    cofactor = UEAElement(
-                        algebra, {tuple(exps): Scalar.one()}
-                    )
-                    vec = uea_mul(base, cofactor)
-                    self.span.add(vec.terms, (rel.label, tuple(exps)))
+                    self.span.add(products[word], (rel.label, tuple(exps)))
 
     def reduce(self, x: UEAElement):
         if x.degree() - 2 > self.bound:

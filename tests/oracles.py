@@ -1,5 +1,7 @@
 """Independent reference implementations used by several test modules."""
 
+import random
+
 from ckexpand.poly import Scalar
 from ckexpand.uea import UEAElement
 
@@ -30,6 +32,31 @@ def oracle_normalize(algebra, word, rng):
         for n, bc in algebra.bracket(a, b).items():
             stack.append((w[:p] + (n,) + w[p + 2:], c * bc))
     return UEAElement(algebra, result)
+
+
+def oracle_reconstruct(remainder, witness, relations, products=None):
+    """remainder + sum coeff * (element - scalar) * cofactor over the
+    (label, cofactor exponents, coeff) triples of a reduction witness, each
+    product normal-ordered by ``oracle_normalize``.  ``products`` memoises
+    the products by (label, cofactor) for one algebra across calls."""
+    g = remainder.algebra
+    rels = {rel.label: rel for rel in relations}
+    products = {} if products is None else products
+    rng = random.Random(20261018)
+    total = remainder
+    for label, exps, coeff in witness:
+        if (label, exps) not in products:
+            rel = rels[label]
+            cofactor = [idx for idx, e in enumerate(exps) for _ in range(e)]
+            product = oracle_normalize(g, cofactor, rng).scale(-rel.scalar)
+            for mono, c in rel.element.terms.items():
+                word = [idx for idx, e in enumerate(mono) for _ in range(e)]
+                product = product + oracle_normalize(
+                    g, word + cofactor, rng
+                ).scale(c)
+            products[(label, exps)] = product.terms
+        total = total + UEAElement(g, products[(label, exps)]).scale(coeff)
+    return total
 
 
 def to_sympy(s: Scalar):

@@ -1,5 +1,8 @@
 """The expansion engine: splits, primed generators, constraints, atlas."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ckexpand.expand import (
@@ -14,6 +17,7 @@ from ckexpand.expand import (
     run_atlas,
     run_expansion,
     verify_with_values,
+    _bracket_diff,
 )
 from ckexpand.groebner import ParamPoly, groebner_basis, ideal_equals
 from ckexpand.liealg import (
@@ -26,7 +30,10 @@ from ckexpand.liealg import (
 from ckexpand.poly import parse_scalar
 from ckexpand.uea import UEAElement, parse_element
 
+from oracles import oracle_reconstruct
+
 AB = ("a1", "a2")
+REFERENCE = Path(__file__).resolve().parent.parent / "ckbench" / "reference.json"
 
 
 def pp(text):
@@ -417,6 +424,52 @@ def test_atlas_composition():
     assert by_name["iso(2,1)->so(3,1)"].problem.target.same_brackets(
         make_ck_algebra(-1, -1)
     )
+
+
+@pytest.fixture(scope="module")
+def atlas_by_bound():
+    return {bound: run_atlas(bound) for bound in (None, 2, 3)}
+
+
+def test_atlas_output_matches_the_benchmark_reference(atlas_by_bound):
+    # byte for byte, as the benchmark gate compares it; a deeper bound
+    # changes nothing but the reported bound
+    want = json.loads(REFERENCE.read_text())["atlas"]
+    default = [report.to_json_dict() for report in atlas_by_bound[None]]
+    assert [data["arrow"] for data in default] == list(want)
+    for data in default:
+        assert json.dumps(data, indent=2) == json.dumps(want[data["arrow"]], indent=2)
+    for bound in (2, 3):
+        for base, report in zip(default, atlas_by_bound[bound]):
+            data = report.to_json_dict()
+            assert data["degree_bound"] == (bound if base["degree_bound"] else 0)
+            data["degree_bound"] = base["degree_bound"]
+            assert json.dumps(data) == json.dumps(base)
+
+
+def test_every_atlas_witness_rebuilds_its_bracket(atlas_by_bound):
+    # bracket difference = remainder + sum coeff * (element - scalar) *
+    # cofactor, each product normal-ordered by the oracle
+    products = {}
+    checked = 0
+    for bound in (None, 3):
+        for report in atlas_by_bound[bound]:
+            assert "witnesses" not in report.to_json_dict()
+            if report.remainders is None:
+                continue
+            problem = report.problem
+            memo = products.setdefault(problem.initial.name, {})
+            for pair, remainder in report.remainders.items():
+                diff = _bracket_diff(problem, report.primed, *pair)
+                witness = report.witnesses[pair]
+                if remainder is None:
+                    assert diff.is_zero and witness is None
+                    continue
+                assert oracle_reconstruct(
+                    remainder, witness, problem.relations, memo
+                ) == diff
+                checked += 1
+    assert checked > 0
 
 
 def test_report_json_is_deterministic_and_stringly():

@@ -95,6 +95,8 @@ def test_scalar_arithmetic_matches_sympy(a, b):
     assert sympy.cancel(to_sympy(a * b) - sa * sb) == 0
     if not b.is_zero:
         assert sympy.cancel(to_sympy(a / b) - sa / sb) == 0
+    for x, y in ((a, b), (a + b - b, a)):
+        assert (x == y) == (sympy.cancel(to_sympy(x) - to_sympy(y)) == 0)
 
 
 @given(polys, polys)
@@ -112,6 +114,22 @@ def test_exact_division_rejects_remainder():
 def test_scalar_equality_is_cross_multiplication(a, b, c):
     # a/b == (a*c)/(b*c) regardless of whether normalization cancels c
     assert Scalar(a, b) == Scalar(a * c, b * c)
+
+
+def test_polynomial_scalar_equality_multiplies_nothing(monkeypatch):
+    import ckexpand.poly
+
+    a, b = parse_scalar("w1*c1 + 2"), parse_scalar("w1*c1 + 2")
+    calls = []
+    mul = ckexpand.poly.terms_mul
+
+    def counted_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(ckexpand.poly, "terms_mul", counted_mul)
+    assert a == b
+    assert len(calls) == 0
 
 
 def test_scalar_normalizes_exact_divisor():

@@ -16,6 +16,7 @@ from ckexpand.liealg import (
 from ckexpand.poly import Scalar, as_scalar, parse_scalar
 from ckexpand.uea import (
     BoundExceededError,
+    CentralReducer,
     CentralRelation,
     MixedAlgebraError,
     UEAElement,
@@ -27,6 +28,7 @@ from ckexpand.uea import (
     standard_relations,
     uea_commutator,
     uea_mul,
+    _mono_key,
 )
 
 SYMBOLIC = make_ck_algebra("w1", "w2")
@@ -37,7 +39,7 @@ EXT = make_extended_galilei()
 # the result is independent of that choice.  The oracle picks a random
 # inversion at every step, so agreement over many runs is strong evidence
 # that both terminate on the same normal form.
-from oracles import oracle_normalize
+from oracles import oracle_normalize, oracle_reconstruct
 
 
 @pytest.mark.parametrize("algebra", [SYMBOLIC, EXT], ids=lambda g: g.name)
@@ -162,24 +164,13 @@ def test_standard_relations():
     assert ext_rels[2].scalar == parse_scalar("m * xi")
 
 
-def reconstruct(x, remainder, witness, relations):
-    rels = {rel.label: rel for rel in relations}
-    total = remainder
-    one = UEAElement.one(x.algebra)
-    for label, exps, coeff in witness:
-        rel = rels[label]
-        base = rel.element - one.scale(rel.scalar)
-        cofactor = UEAElement(x.algebra, {tuple(exps): Scalar.one()})
-        total = total + uea_mul(base, cofactor).scale(coeff)
-    return total
-
-
 def test_casimir_reduces_to_its_eigenvalue():
     relations = standard_relations(SYMBOLIC)
     remainder, witness = central_reduce(casimir(SYMBOLIC, 1), relations)
     assert remainder == UEAElement.one(SYMBOLIC).scale(Scalar.symbol("c1"))
-    assert reconstruct(casimir(SYMBOLIC, 1), remainder, witness, relations) \
-        == casimir(SYMBOLIC, 1)
+    assert oracle_reconstruct(remainder, witness, relations) == casimir(
+        SYMBOLIC, 1
+    )
 
 
 def test_reduction_witness_reconstructs_input():
@@ -187,7 +178,7 @@ def test_reduction_witness_reconstructs_input():
     x = uea_mul(casimir(SYMBOLIC, 2), UEAElement.generator(SYMBOLIC, "J"))
     remainder, witness = central_reduce(x, relations)
     assert witness  # something was actually subtracted
-    assert reconstruct(x, remainder, witness, relations) == x
+    assert oracle_reconstruct(remainder, witness, relations) == x
     # idempotent: the remainder is already fully reduced
     again, more = central_reduce(remainder, relations, bound=2)
     assert again == remainder
@@ -200,6 +191,7 @@ def test_degree_one_relation_needs_the_wider_default_bound():
     remainder, witness = central_reduce(x, relations)
     assert remainder == parse_element(EXT, "m*xi * K1")
     assert any(label == "mXi" for label, _, _ in witness)
+    assert oracle_reconstruct(remainder, witness, relations) == x
 
 
 def test_explicit_bound_too_small_raises():
@@ -215,6 +207,39 @@ def test_relation_from_foreign_algebra_rejected():
     )
     with pytest.raises(MixedAlgebraError):
         central_reduce(casimir(SYMBOLIC, 1), [foreign])
+
+
+def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
+    # each row is the row of its cofactor without the last letter, times
+    # that letter: the build makes no full product.  poincare at bound 3
+    # has 2 x 84 cofactors, of which 161 give independent rows.
+    import ckexpand.uea
+
+    g = builtin_algebra("poincare")
+    relations = standard_relations(g)
+    calls = []
+    mul = ckexpand.uea.uea_mul
+
+    def counted_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ckexpand.uea, "uea_mul", counted_mul)
+    reducer = CentralReducer(g, relations, 3)
+    assert len(calls) == 0
+    rows = reducer.span.rows
+    assert len(rows) == 161
+    for lead, (terms, _) in rows.items():
+        assert lead == max(terms, key=_mono_key)
+    # the remainder is the normal form: no row leader survives, and the
+    # witness rebuilds the input under the oracle's products
+    rng = random.Random(20261018)
+    products = {}
+    for _ in range(40):
+        x = pbw_normalize(g, [rng.randrange(g.dim) for _ in range(rng.randint(0, 5))])
+        remainder, witness = reducer.reduce(x)
+        assert not set(remainder.terms) & set(rows)
+        assert oracle_reconstruct(remainder, witness, relations, products) == x
 
 
 # -- textual format -------------------------------------------------------------
