@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import Poly, Scalar, as_scalar
+from .poly import Poly, Scalar, _coeff, as_scalar
 
 __all__ = [
     "ParamPoly",
@@ -205,10 +205,10 @@ class ParamPoly:
         # common rational content
         content = polys[0].content()
         for p in polys[1:]:
-            content = Fraction(
+            content = _coeff(Fraction(
                 math.gcd(content.numerator, p.content().numerator),
                 math.lcm(content.denominator, p.content().denominator),
-            )
+            ))
         # common monomial content
         common = dict(polys[0].mono_content())
         for p in polys[1:]:

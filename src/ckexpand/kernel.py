@@ -1,7 +1,9 @@
 """Term arithmetic: the dict-of-monomials operations under ``Poly``.
 
 A multivariate polynomial is a dict mapping monomials to nonzero
-``fractions.Fraction`` coefficients.  A monomial is a tuple of
+coefficients: ``int`` when integral, else ``fractions.Fraction`` (most
+coefficients are integers, and ``int`` arithmetic is much cheaper; the
+two mix exactly).  A monomial is a tuple of
 ``(symbol, exponent)`` pairs, sorted by symbol name, with all exponents
 positive; the empty tuple is the unit monomial.
 """

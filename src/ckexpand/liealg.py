@@ -14,6 +14,7 @@ tables store only pairs (i, j) with i < j, antisymmetry being implied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import Scalar, as_scalar
@@ -616,8 +617,7 @@ def _scalar_sign(value: Scalar):
     den = value.den.as_fraction()
     if num is None or den is None:
         return None
-    q = num / den
-    return 1 if q > 0 else -1
+    return 1 if Fraction(num, den) > 0 else -1
 
 
 def _ck_display_name(w1: Scalar, w2: Scalar) -> str:

@@ -5,8 +5,13 @@ of such polynomials.  These are the coefficient domain for everything
 else: bracket tables, enveloping-algebra elements and constraint ideals.
 
 Monomials are sparse tuples of ``(symbol, exponent)`` pairs sorted by
-symbol; coefficients are ``fractions.Fraction``.  Polynomial values are
-immutable after construction and canonical, so equality is structural.
+symbol; coefficients are ``int`` when integral, else
+``fractions.Fraction``.  Almost every coefficient the engine meets is an
+integer, and ``int`` arithmetic is many times cheaper than ``Fraction``
+arithmetic; ``Fraction(2) == 2`` and the two hash equally, so either form
+of an integral value compares and prints the same.  Floats are refused.
+Polynomial values are immutable after construction and canonical, so
+equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
 other; canonical equality is defined by cross-multiplication.
@@ -45,7 +50,17 @@ def _grlex_key(vec):
     return (sum(vec), vec)
 
 
-_ONE_TERMS = {(): Fraction(1)}
+def _coeff(q):
+    """q as an exact coefficient: an int when integral, else a Fraction."""
+    if type(q) is int:
+        return q
+    if isinstance(q, float):
+        raise TypeError(f"inexact coefficient {q!r}: use an int or a Fraction")
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+_ONE_TERMS = {(): 1}
 
 
 class Poly:
@@ -54,17 +69,18 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms is assumed canonical: no zero coefficients, Fraction values
+        # terms is assumed canonical: no zero coefficients, int or Fraction
+        # values (see _coeff)
         self.terms = terms if terms is not None else {}
 
     @classmethod
     def const(cls, value) -> "Poly":
-        q = Fraction(value)
+        q = _coeff(value)
         return cls({(): q} if q else {})
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -120,16 +136,16 @@ class Poly:
                 out[tuple(rest)] = coeff
         return Poly(out)
 
-    def content(self) -> Fraction:
+    def content(self):
         """Positive rational content (gcd of all coefficients)."""
         if not self.terms:
-            return Fraction(1)
+            return 1
         num = 0
         den = 1
         for coeff in self.terms.values():
             num = math.gcd(num, coeff.numerator)
             den = math.lcm(den, coeff.denominator)
-        return Fraction(num, den)
+        return _coeff(Fraction(num, den))
 
     def mono_content(self):
         """Largest monomial dividing every term."""
@@ -149,6 +165,8 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
         frame = self.variables()
         idx = {s: i for i, s in enumerate(frame)}
         mono = max(self.terms, key=lambda m: _grlex_key(_dense(m, idx)))
@@ -183,11 +201,12 @@ class Poly:
     def __rsub__(self, other):
         return -(self - other)
 
+    # Poly is tested first: isinstance against Fraction, an ABC, is slow
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(terms_scale(self.terms, Fraction(other)))
         if isinstance(other, Poly):
             return Poly(terms_mul(self.terms, other.terms))
+        if isinstance(other, (int, Fraction)):
+            return Poly(terms_scale(self.terms, _coeff(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -204,15 +223,15 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, q: Fraction) -> "Poly":
-        return Poly(terms_scale(self.terms, Fraction(q)))
+    def scale(self, q) -> "Poly":
+        return Poly(terms_scale(self.terms, _coeff(q)))
 
     def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == Poly.const(other).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -289,7 +308,7 @@ def exact_div(a: Poly, b: Poly):
         qmono = tuple(
             (frame[i], e) for i, e in enumerate(qvec) if e
         )
-        qcoeff = rem[mono] / bc
+        qcoeff = _coeff(Fraction(rem[mono], bc))
         quot[qmono] = qcoeff
         rem = terms_add(rem, terms_neg(terms_mul(b.terms, {qmono: qcoeff})))
     return Poly(quot)
@@ -396,13 +415,21 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.den)
+        # negation keeps a normalized (num, den) normalized
+        out = Scalar.__new__(Scalar)
+        out.num = -self.num
+        out.den = self.den
+        return out
 
     def __sub__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if self.den == other.den:
+            return Scalar(self.num - other.num, self.den)
+        return Scalar(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __rsub__(self, other):
         return -(self - other)

@@ -1,6 +1,7 @@
 """The expansion engine: splits, primed generators, constraints, atlas."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,33 @@ def test_every_atlas_witness_rebuilds_its_bracket(atlas_by_bound):
                     remainder, witness, problem.relations, memo
                 ) == diff
                 checked += 1
+    assert checked > 0
+
+
+def test_every_atlas_coefficient_is_an_int_or_a_fraction(atlas_by_bound):
+    # no float and no bool ever reaches a coefficient
+    def scalars(report):
+        elements = [report.J, *(report.primed or {}).values()]
+        elements += [r for r in (report.remainders or {}).values() if r]
+        for element in elements:
+            yield from element.terms.values()
+        for witness in (report.witnesses or {}).values():
+            yield from (coeff for _, _, coeff in witness or ())
+        if report.constraints is None:
+            return
+        ideal = report.constraints
+        eqs = [*ideal.generators, *ideal.groebner]
+        eqs += [eq for pair in report.per_pair.values() for eq in pair]
+        for eq in eqs + [eq.normalized() for eq in eqs]:
+            yield from eq.terms.values()
+
+    checked = 0
+    for bound in (None, 3):
+        for report in atlas_by_bound[bound]:
+            for s in scalars(report):
+                for coeff in (*s.num.terms.values(), *s.den.terms.values()):
+                    assert type(coeff) in (int, Fraction)
+                    checked += 1
     assert checked > 0
 
 

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import to_sympy
 
+from ckexpand.liealg import _scalar_sign
 from ckexpand.poly import (
     Poly,
     Scalar,
     ScalarDivisionError,
+    _dense,
+    _grlex_key,
     as_scalar,
     exact_div,
     parse_scalar,
@@ -43,8 +46,10 @@ monomials = st.builds(
         st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 3)), max_size=3
     ),
 )
-coeffs = st.fractions(
-    min_value=-5, max_value=5, max_denominator=4
+# plain ints too: the engine mixes int and Fraction coefficients
+coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
 ).filter(lambda q: q != 0)
 polys = st.builds(
     lambda terms: Poly(dict(terms)),
@@ -105,6 +110,38 @@ def test_polynomial_scalars_stay_polynomial(a, b):
     assert (Scalar(a) * Scalar(b)).den.is_one
 
 
+def test_exact_division_quotient_is_a_fraction_not_a_float():
+    quotient = exact_div(Poly.const(1), Poly.const(2))
+    assert quotient.terms == {(): Fraction(1, 2)}
+    assert type(quotient.terms[()]) is Fraction
+
+
+def test_integral_numbers_enter_a_poly_as_ints():
+    x = Poly.symbol("x")
+    for p in (
+        x,
+        Poly.const(Fraction(6, 3)),
+        Poly.const(True),
+        x * Fraction(4, 2),
+        x.scale(Fraction(-2, 2)),
+    ):
+        assert [type(c) for c in p.terms.values()] == [int]
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="0.1"):
+        Poly.const(0.1)
+    with pytest.raises(TypeError, match="0.1"):
+        Poly.symbol("x").scale(0.1)
+
+
+@given(polys.filter(lambda p: not p.is_zero))
+def test_leading_matches_the_dense_frame_formula(a):
+    idx = {s: i for i, s in enumerate(a.variables())}
+    mono = max(a.terms, key=lambda m: _grlex_key(_dense(m, idx)))
+    assert a.leading() == (mono, a.terms[mono])
+
+
 def test_exact_division_rejects_remainder():
     x, y = Poly.symbol("x"), Poly.symbol("y")
     assert exact_div(x * x + y, x) is None
@@ -132,6 +169,33 @@ def test_polynomial_scalar_equality_multiplies_nothing(monkeypatch):
     assert len(calls) == 0
 
 
+@given(scalars)
+def test_negation_keeps_the_normal_form_without_dividing(s):
+    import ckexpand.poly
+
+    want = Scalar(-s.num, s.den)
+    calls = []
+    div = ckexpand.poly.exact_div
+
+    def counted_div(a, b):
+        calls.append(1)
+        return div(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckexpand.poly, "exact_div", counted_div)
+        neg = -s
+    assert neg.num.terms == want.num.terms
+    assert neg.den.terms == want.den.terms
+    assert len(calls) == 0
+
+
+@given(scalars, scalars)
+def test_subtraction_is_addition_of_the_negation(a, b):
+    diff, total = a - b, a + (-b)
+    assert diff.num.terms == total.num.terms
+    assert diff.den.terms == total.den.terms
+
+
 def test_scalar_normalizes_exact_divisor():
     x = Poly.symbol("x")
     one = Poly.const(1)
@@ -148,6 +212,13 @@ def test_scalar_normalizes_exact_divisor():
 def test_scalar_inverse(a):
     s = Scalar(a)
     assert s * s.inverse() == Scalar.one()
+
+
+def test_scalar_sign_of_a_rational_constant():
+    third = Scalar.const(1) / Scalar.const(3)
+    assert _scalar_sign(third) == 1
+    assert _scalar_sign(-third) == -1
+    assert _scalar_sign(Scalar.const(-1) / Scalar.const(3)) == -1
 
 
 def test_zero_denominator_rejected():
