@@ -44,7 +44,7 @@ from .liealg import (
     make_ck_algebra,
     with_central_generator,
 )
-from .poly import Scalar, as_scalar
+from .poly import Scalar, as_scalar, grlex_key
 from .uea import (
     CentralReducer,
     UEAElement,
@@ -309,7 +309,7 @@ def _bracket_diff(problem, primed, i, j):
 
 def _remainder_equations(remainder: UEAElement, pair: str):
     eqs = []
-    for exps in sorted(remainder.terms, key=lambda e: (sum(e), e), reverse=True):
+    for exps in sorted(remainder.terms, key=grlex_key, reverse=True):
         coeff = remainder.terms[exps]
         pp = ParamPoly.from_scalar(coeff, UNKNOWNS)
         if pp.is_zero:

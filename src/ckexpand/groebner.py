@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import Poly, Scalar, _coeff, as_scalar
+from .poly import Poly, Scalar, _coeff, add_term, as_scalar, grlex_key
 
 __all__ = [
     "ParamPoly",
@@ -29,10 +29,6 @@ __all__ = [
 MAX_UNKNOWNS = 3
 
 
-def _order_key(exps):
-    return (sum(exps), exps)
-
-
 class ParamPoly:
     """Polynomial in the unknowns with Scalar (parameter-field) coefficients."""
 
@@ -41,10 +37,6 @@ class ParamPoly:
     def __init__(self, unknowns, terms=None):
         self.unknowns = tuple(unknowns)
         self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls, unknowns) -> "ParamPoly":
-        return cls(unknowns)
 
     @classmethod
     def from_poly(cls, p: Poly, unknowns) -> "ParamPoly":
@@ -59,11 +51,8 @@ class ParamPoly:
                     exps[index[sym]] = e
                 else:
                     rest.append((sym, e))
-            key = tuple(exps)
-            part = Scalar(Poly({tuple(rest): coeff}))
-            acc = terms.get(key)
-            terms[key] = part if acc is None else acc + part
-        return cls(unknowns, {k: v for k, v in terms.items() if not v.is_zero})
+            add_term(terms, tuple(exps), Scalar(Poly({tuple(rest): coeff})))
+        return cls(unknowns, terms)
 
     @classmethod
     def from_scalar(cls, s: Scalar, unknowns) -> "ParamPoly":
@@ -96,7 +85,7 @@ class ParamPoly:
         return max(sum(e) for e in self.terms)
 
     def leading(self):
-        key = max(self.terms, key=_order_key)
+        key = max(self.terms, key=grlex_key)
         return key, self.terms[key]
 
     def constant_part(self) -> Scalar:
@@ -108,17 +97,7 @@ class ParamPoly:
     def _combine(self, other, negate) -> "ParamPoly":
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            if negate:
-                coeff = -coeff
-            val = terms.get(key)
-            if val is None:
-                terms[key] = coeff
-                continue
-            val = val + coeff
-            if val.is_zero:
-                del terms[key]
-            else:
-                terms[key] = val
+            add_term(terms, key, -coeff if negate else coeff)
         return ParamPoly(self.unknowns, terms)
 
     def __add__(self, other):
@@ -153,12 +132,6 @@ class ParamPoly:
                 for k, v in self.terms.items()
             },
         )
-
-    def __mul__(self, other):
-        out = ParamPoly(self.unknowns)
-        for exps, coeff in other.terms.items():
-            out = out + self.shift(exps, coeff)
-        return out
 
     def monic(self) -> "ParamPoly":
         if self.is_zero:
@@ -225,7 +198,7 @@ class ParamPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=_order_key, reverse=True):
+        for exps in sorted(self.terms, key=grlex_key, reverse=True):
             coeff = self.terms[exps]
             mono = "*".join(
                 sym if e == 1 else f"{sym}^{e}"
@@ -276,7 +249,7 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
     work = dict(p.terms)
     remainder = {}
     while work:
-        key = max(work, key=_order_key)
+        key = max(work, key=grlex_key)
         coeff = work.pop(key)
         for bkey, blc, bterms in divisors:
             if _divides(bkey, key):
@@ -284,21 +257,12 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
         else:
             remainder[key] = coeff
             continue
-        factor = coeff if blc.is_one else coeff / blc
+        neg = -coeff if blc.is_one else -(coeff / blc)
         shift = tuple(k - bk for k, bk in zip(key, bkey))
         for exps, c in bterms.items():
             if exps == bkey:
                 continue  # cancels the popped leading term exactly
-            exps = tuple(a + b for a, b in zip(exps, shift))
-            acc = work.get(exps)
-            if acc is None:
-                work[exps] = -(factor * c)
-            else:
-                acc = acc - factor * c
-                if acc.is_zero:
-                    del work[exps]
-                else:
-                    work[exps] = acc
+            add_term(work, tuple(a + b for a, b in zip(exps, shift)), neg * c)
     return ParamPoly(p.unknowns, remainder)
 
 
@@ -351,7 +315,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         leads.append(basis[j].leading()[0])
         for i in range(j):
             lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-            heapq.heappush(heap, (_order_key(lcm), i, j))
+            heapq.heappush(heap, (grlex_key(lcm), i, j))
             pending.add((i, j))
 
     for p in polys:
@@ -387,7 +351,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     # reduction, so one pass gives the unique reduced basis
     for i in range(len(basis)):
         basis[i] = _reduce(basis[i], basis[:i] + basis[i + 1 :])
-    basis.sort(key=lambda b: _order_key(b.leading()[0]))
+    basis.sort(key=lambda b: grlex_key(b.leading()[0]))
     return RelationIdeal(unknowns=unknowns, generators=polys, groebner=basis)
 
 

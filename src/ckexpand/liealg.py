@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Scalar, as_scalar
+from .poly import Scalar, ScalarDivisionError, add_term, as_scalar
 
 __all__ = [
     "LieAlgebra",
@@ -99,15 +99,7 @@ class LieAlgebra:
         out: dict = {}
         for n, c in combo.items():
             for m, d in self.bracket(n, k).items():
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c * d
-                    continue
-                acc = acc + c * d
-                if acc.is_zero:
-                    del out[m]
-                else:
-                    out[m] = acc
+                add_term(out, m, c * d)
         return out
 
     def same_brackets(self, other: "LieAlgebra") -> bool:
@@ -170,6 +162,14 @@ class LieAlgebra:
             raise ValueError("'generators' must be a list of labels")
         generators = tuple(labels)
         index = {g: i for i, g in enumerate(generators)}
+        if len(index) < len(generators):
+            twice = next(g for g in generators if generators.count(g) > 1)
+            raise ValueError(f"generator {twice!r} is listed twice")
+        parameters = data.get("parameters", [])
+        if not isinstance(parameters, list) or not all(
+            isinstance(p, str) for p in parameters
+        ):
+            raise ValueError("'parameters' must be a list of symbols")
         table = data.get("brackets", {})
         if not isinstance(table, dict):
             raise ValueError("'brackets' must be a JSON object")
@@ -187,10 +187,15 @@ class LieAlgebra:
                     )
             if not isinstance(expr, str):
                 raise ValueError(f"bracket {key!r}: value must be a string")
-            combo = _linear_combo(as_scalar(expr), generators)
+            try:
+                combo = _linear_combo(as_scalar(expr), generators)
+            except (ValueError, ScalarDivisionError) as exc:
+                raise ValueError(f"bracket {key!r}: {exc}") from None
             i, j = index[x], index[y]
             if i == j:
                 raise ValueError(f"self-bracket {key!r} must not be given")
+            if (min(i, j), max(i, j)) in brackets:
+                raise ValueError(f"bracket {key!r}: the pair is given twice")
             if i > j:
                 i, j = j, i
                 combo = {n: -c for n, c in combo.items()}
@@ -199,7 +204,7 @@ class LieAlgebra:
             data.get("name", "unnamed"),
             generators,
             brackets,
-            parameters=tuple(data.get("parameters", ())),
+            parameters=tuple(parameters),
         )
 
     def __repr__(self):
@@ -375,15 +380,7 @@ def check_structure(g: LieAlgebra) -> StructureReport:
                 residual: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, coeff in g.ad_combo(g.bracket(a, b), c).items():
-                        acc = residual.get(m)
-                        if acc is None:
-                            residual[m] = coeff
-                            continue
-                        acc = acc + coeff
-                        if acc.is_zero:
-                            del residual[m]
-                        else:
-                            residual[m] = acc
+                        add_term(residual, m, coeff)
                 if residual:
                     triple = tuple(g.generators[t] for t in (i, j, k))
                     failures.append((triple, residual))

@@ -15,6 +15,14 @@ equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
 other; canonical equality is defined by cross-multiplication.
+
+The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
+plain dicts: enveloping-algebra elements and span rows keyed by exponent
+vectors, bracket combinations keyed by generator index, constraint
+polynomials keyed by exponents in the unknowns.  Such a term dict never
+holds a zero coefficient, and ``add_term`` is the one place that keeps
+it so.  Exponent vectors are ordered by ``grlex_key``: total degree
+first, then lexicographically.
 """
 
 from __future__ import annotations
@@ -29,8 +37,10 @@ __all__ = [
     "Poly",
     "Scalar",
     "ScalarDivisionError",
+    "add_term",
     "as_scalar",
     "exact_div",
+    "grlex_key",
     "parse_scalar",
 ]
 
@@ -46,8 +56,9 @@ def _dense(mono, frame_index):
     return tuple(vec)
 
 
-def _grlex_key(vec):
-    return (sum(vec), vec)
+def grlex_key(exps):
+    """Graded-lex sort key of an exponent vector: total degree, then lex."""
+    return (sum(exps), exps)
 
 
 def _coeff(q):
@@ -91,12 +102,6 @@ class Poly:
     @property
     def is_one(self) -> bool:
         return self.terms == _ONE_TERMS
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in mono) for mono in self.terms)
 
     def degree_in(self, sym: str) -> int:
         best = 0
@@ -169,7 +174,7 @@ class Poly:
             return next(iter(self.terms.items()))
         frame = self.variables()
         idx = {s: i for i, s in enumerate(frame)}
-        mono = max(self.terms, key=lambda m: _grlex_key(_dense(m, idx)))
+        mono = max(self.terms, key=lambda m: grlex_key(_dense(m, idx)))
         return mono, self.terms[mono]
 
     # -- arithmetic -------------------------------------------------------
@@ -258,7 +263,7 @@ class Poly:
         idx = {s: i for i, s in enumerate(frame)}
         return sorted(
             self.terms.items(),
-            key=lambda kv: _grlex_key(_dense(kv[0], idx)),
+            key=lambda kv: grlex_key(_dense(kv[0], idx)),
             reverse=True,
         )
 
@@ -300,7 +305,7 @@ def exact_div(a: Poly, b: Poly):
     rem = dict(a.terms)
     quot = {}
     while rem:
-        mono = max(rem, key=lambda m: _grlex_key(_dense(m, idx)))
+        mono = max(rem, key=lambda m: grlex_key(_dense(m, idx)))
         mvec = _dense(mono, idx)
         qvec = [me - be for me, be in zip(mvec, bvec)]
         if any(e < 0 for e in qvec):
@@ -493,6 +498,17 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def add_term(terms, key, coeff):
+    """Add the Scalar coeff into terms[key]; a zero sum deletes the key."""
+    acc = terms.get(key)
+    if acc is not None:
+        coeff = acc + coeff
+    if coeff.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = coeff
 
 
 def as_scalar(value):

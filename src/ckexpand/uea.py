@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
-from .poly import Scalar, as_scalar, parse_scalar, _tokenize, _Parser
+from .poly import Scalar, add_term, as_scalar, grlex_key, _tokenize, _Parser
 
 __all__ = [
     "UEAElement",
@@ -44,10 +44,6 @@ class MixedAlgebraError(ValueError):
 
 class BoundExceededError(ValueError):
     """The requested cofactor degree bound is inconsistent with the input."""
-
-
-def _mono_key(exps):
-    return (sum(exps), exps)
 
 
 class UEAElement:
@@ -96,9 +92,6 @@ class UEAElement:
             return -1
         return max(sum(exps) for exps in self.terms)
 
-    def coefficient(self, exps) -> Scalar:
-        return self.terms.get(tuple(exps), Scalar.zero())
-
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise MixedAlgebraError(
@@ -113,15 +106,7 @@ class UEAElement:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            if acc is None:
-                terms[exps] = coeff
-                continue
-            acc = acc + coeff
-            if acc.is_zero:
-                del terms[exps]
-            else:
-                terms[exps] = acc
+            add_term(terms, exps, coeff)
         return UEAElement(self.algebra, terms)
 
     def __neg__(self):
@@ -178,7 +163,7 @@ class UEAElement:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=_mono_key, reverse=True):
+        for exps in sorted(self.terms, key=grlex_key, reverse=True):
             coeff = self.terms[exps]
             mono = " ".join(
                 lab if e == 1 else f"{lab}^{e}"
@@ -223,16 +208,7 @@ def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
             exps = [0] * algebra.dim
             for idx in w:
                 exps[idx] += 1
-            key = tuple(exps)
-            acc = result.get(key)
-            if acc is None:
-                result[key] = c
-                continue
-            acc = acc + c
-            if acc.is_zero:
-                del result[key]
-            else:
-                result[key] = acc
+            add_term(result, tuple(exps), c)
             continue
         a, b = w[pos], w[pos + 1]
         stack.append((w[:pos] + (b, a) + w[pos + 2 :], c))
@@ -250,21 +226,23 @@ def _word_of(exps):
 
 def uea_mul(a: UEAElement, b: UEAElement) -> UEAElement:
     a._check(b)
-    total = UEAElement(a.algebra)
+    total: dict = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            total = total + pbw_normalize(
-                a.algebra, _word_of(ea) + _word_of(eb), ca * cb
-            )
-    return total
+            piece = pbw_normalize(a.algebra, _word_of(ea) + _word_of(eb), ca * cb)
+            for exps, coeff in piece.terms.items():
+                add_term(total, exps, coeff)
+    return UEAElement(a.algebra, total)
 
 
 def _times_generator(algebra, terms, k):
     """The terms of x * X_k for x given by its terms."""
-    total = UEAElement(algebra)
+    total: dict = {}
     for exps, coeff in terms.items():
-        total = total + pbw_normalize(algebra, _word_of(exps) + (k,), coeff)
-    return total.terms
+        piece = pbw_normalize(algebra, _word_of(exps) + (k,), coeff)
+        for e, c in piece.terms.items():
+            add_term(total, e, c)
+    return total
 
 
 def uea_commutator(a: UEAElement, b: UEAElement) -> UEAElement:
@@ -355,7 +333,7 @@ def standard_relations(g: LieAlgebra, member=None) -> list:
 class _Span:
     """Exact row-echelon span of UEA term vectors with combination tracking.
 
-    Every row's key is its largest term under ``_mono_key``, and no two rows
+    Every row's key is its largest term under ``grlex_key``, and no two rows
     share one; rows are otherwise left unreduced.  That is enough for
     ``reduce`` to return the unique normal form modulo the span.
     """
@@ -374,33 +352,18 @@ class _Span:
                 hits = [m for m in terms if m in self.rows]
                 if not hits:
                     break
-                m = max(hits, key=_mono_key)
+                m = max(hits, key=grlex_key)
             else:
-                m = max(terms, key=_mono_key)
+                m = max(terms, key=grlex_key)
                 if m not in self.rows:
                     break
             row_terms, rep = self.rows[m]
             factor = terms[m] / row_terms[m]
+            neg = -factor
             for exps, coeff in row_terms.items():
-                acc = terms.get(exps)
-                if acc is None:
-                    terms[exps] = -(factor * coeff)
-                    continue
-                acc = acc - factor * coeff
-                if acc.is_zero:
-                    del terms[exps]
-                else:
-                    terms[exps] = acc
+                add_term(terms, exps, neg * coeff)
             for tag, c in rep.items():
-                acc = combo.get(tag)
-                if acc is None:
-                    combo[tag] = factor * c
-                    continue
-                acc = acc + factor * c
-                if acc.is_zero:
-                    del combo[tag]
-                else:
-                    combo[tag] = acc
+                add_term(combo, tag, factor * c)
         return terms, combo
 
     def reduce(self, terms):
@@ -412,16 +375,8 @@ class _Span:
             return
         rep = {tag: Scalar.one()}
         for t, c in combo.items():
-            acc = rep.get(t)
-            if acc is None:
-                rep[t] = -c
-                continue
-            acc = acc - c
-            if acc.is_zero:
-                del rep[t]
-            else:
-                rep[t] = acc
-        lead = max(residual, key=_mono_key)
+            add_term(rep, t, -c)
+        lead = max(residual, key=grlex_key)
         self.rows[lead] = (residual, rep)
 
 
@@ -467,7 +422,7 @@ class CentralReducer:
         remainder = UEAElement(self.algebra, residual)
         witness = sorted(
             ((label, exps, coeff) for (label, exps), coeff in combo.items()),
-            key=lambda item: (item[0], _mono_key(item[1])),
+            key=lambda item: (item[0], grlex_key(item[1])),
         )
         return remainder, witness
 
@@ -481,10 +436,6 @@ def central_reduce(x: UEAElement, relations, bound=None):
     if bound is None:
         min_deg = min((rel.element.degree() for rel in relations), default=2)
         bound = max(0, x.degree() - min_deg)
-    elif bound < x.degree() - 2:
-        raise BoundExceededError(
-            f"bound {bound} inconsistent with input degree {x.degree()}"
-        )
     reducer = CentralReducer(x.algebra, relations, bound)
     return reducer.reduce(x)
 

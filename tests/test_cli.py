@@ -199,6 +199,25 @@ MALFORMED = {
         {"generators": ["H", "P1"], "brackets": {"[H,P1]": None}},
         "'[H,P1]'",
     ),
+    "zero-division": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": "1/0*P1"}},
+        "'[H,P1]'",
+    ),
+    "parameters-number": (
+        {"generators": ["H", "P1"], "parameters": 5, "brackets": {}},
+        "'parameters' must",
+    ),
+    "duplicate-generator": (
+        {"generators": ["H", "H"], "brackets": {}},
+        "'H' is listed twice",
+    ),
+    "repeated-pair": (
+        {
+            "generators": ["H", "P1"],
+            "brackets": {"[H,P1]": "P1", "[P1,H]": "H"},
+        },
+        "'[P1,H]'",
+    ),
 }
 
 

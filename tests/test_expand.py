@@ -474,7 +474,8 @@ def test_every_atlas_witness_rebuilds_its_bracket(atlas_by_bound):
 
 
 def test_every_atlas_coefficient_is_an_int_or_a_fraction(atlas_by_bound):
-    # no float and no bool ever reaches a coefficient
+    # no float and no bool ever reaches a coefficient, and no term dict
+    # holds a zero Scalar
     def scalars(report):
         elements = [report.J, *(report.primed or {}).values()]
         elements += [r for r in (report.remainders or {}).values() if r]
@@ -494,6 +495,7 @@ def test_every_atlas_coefficient_is_an_int_or_a_fraction(atlas_by_bound):
     for bound in (None, 3):
         for report in atlas_by_bound[bound]:
             for s in scalars(report):
+                assert not s.is_zero
                 for coeff in (*s.num.terms.values(), *s.den.terms.values()):
                     assert type(coeff) in (int, Fraction)
                     checked += 1

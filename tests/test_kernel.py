@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,8 +41,29 @@ def test_benchmark_names():
             if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS"):
                 tables[target.id] = ast.literal_eval(node.value)
     assert len(tables["FUNCTIONS"]) >= 17 and len(tables["METHODS"]) >= 2
+    targets = {}
     for module, attribute, _ in tables["FUNCTIONS"]:
-        assert callable(getattr(importlib.import_module(module), attribute))
+        target = getattr(importlib.import_module(module), attribute)
+        assert callable(target)
+        targets[target.__code__] = f"{module}.{attribute}"
     for module, cls, method, _ in tables["METHODS"]:
         owner = getattr(importlib.import_module(module), cls)
-        assert callable(getattr(owner, method))
+        target = getattr(owner, method)
+        assert callable(target)
+        targets[target.__code__] = f"{module}.{cls}.{method}"
+    # a name that resolves but is never entered would make its traced
+    # metric read 0: every entry must be called by the atlas run plus one
+    # structure check
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        ckexpand.run_atlas()
+        ckexpand.check_structure(ckexpand.builtin_algebra("poincare"))
+    finally:
+        sys.setprofile(None)
+    assert sorted(name for code, name in targets.items() if code not in entered) == []

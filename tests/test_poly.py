@@ -13,9 +13,10 @@ from ckexpand.poly import (
     Scalar,
     ScalarDivisionError,
     _dense,
-    _grlex_key,
+    add_term,
     as_scalar,
     exact_div,
+    grlex_key,
     parse_scalar,
 )
 
@@ -138,7 +139,7 @@ def test_floats_are_refused():
 @given(polys.filter(lambda p: not p.is_zero))
 def test_leading_matches_the_dense_frame_formula(a):
     idx = {s: i for i, s in enumerate(a.variables())}
-    mono = max(a.terms, key=lambda m: _grlex_key(_dense(m, idx)))
+    mono = max(a.terms, key=lambda m: grlex_key(_dense(m, idx)))
     assert a.leading() == (mono, a.terms[mono])
 
 
@@ -194,6 +195,20 @@ def test_subtraction_is_addition_of_the_negation(a, b):
     diff, total = a - b, a + (-b)
     assert diff.num.terms == total.num.terms
     assert diff.den.terms == total.den.terms
+
+
+def test_add_term_inserts_sums_and_drops_a_cancelled_key():
+    x = parse_scalar("x")
+    terms = {}
+    add_term(terms, "a", x)
+    assert list(terms) == ["a"] and terms["a"] is x
+    add_term(terms, "a", parse_scalar("1/2"))
+    assert terms["a"] == parse_scalar("x + 1/2")
+    add_term(terms, "b", Scalar.one())
+    add_term(terms, "a", parse_scalar("-x - 1/2"))
+    assert list(terms) == ["b"]
+    add_term(terms, "c", Scalar.zero())
+    assert list(terms) == ["b"]
 
 
 def test_scalar_normalizes_exact_divisor():

@@ -13,7 +13,7 @@ from ckexpand.liealg import (
     make_ck_algebra,
     make_extended_galilei,
 )
-from ckexpand.poly import Scalar, as_scalar, parse_scalar
+from ckexpand.poly import Scalar, as_scalar, grlex_key, parse_scalar
 from ckexpand.uea import (
     BoundExceededError,
     CentralReducer,
@@ -28,7 +28,6 @@ from ckexpand.uea import (
     standard_relations,
     uea_commutator,
     uea_mul,
-    _mono_key,
 )
 
 SYMBOLIC = make_ck_algebra("w1", "w2")
@@ -230,7 +229,7 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
     rows = reducer.span.rows
     assert len(rows) == 161
     for lead, (terms, _) in rows.items():
-        assert lead == max(terms, key=_mono_key)
+        assert lead == max(terms, key=grlex_key)
     # the remainder is the normal form: no row leader survives, and the
     # witness rebuilds the input under the oracle's products
     rng = random.Random(20261018)
@@ -240,6 +239,27 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
         remainder, witness = reducer.reduce(x)
         assert not set(remainder.terms) & set(rows)
         assert oracle_reconstruct(remainder, witness, relations, products) == x
+
+
+def test_products_accumulate_in_one_dict_not_by_element_sums(monkeypatch):
+    # a product adds each normal-ordered piece into a single term dict;
+    # summing whole elements would copy the running total once per piece
+    g = builtin_algebra("poincare")
+    c2 = casimir(g, 2)
+    relations = standard_relations(g)
+    calls = []
+    add = UEAElement.__add__
+
+    def counted_add(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(UEAElement, "__add__", counted_add)
+    assert not uea_mul(c2, c2).is_zero
+    assert len(calls) == 0
+    CentralReducer(g, relations, 3)
+    # only (element - scalar) of each of the two relations
+    assert len(calls) == 2
 
 
 # -- textual format -------------------------------------------------------------
