@@ -44,7 +44,7 @@ from .liealg import (
     make_ck_algebra,
     with_central_generator,
 )
-from .poly import Scalar, as_scalar, grlex_key
+from .poly import Scalar, as_scalar, grlex_key, split_symbols
 from .uea import (
     CentralReducer,
     UEAElement,
@@ -126,6 +126,20 @@ def make_problem(initial, axis: int, omega="sym", name=None,
         raise ExpansionError(
             "the central extension is an axis-1 (space-time) seed"
         )
+    # the seed and the target value must leave the engine's own symbols
+    # alone: the unknowns, the Casimir eigenvalues, the expanded coefficient
+    reserved = {*UNKNOWNS, "c1", "c2", "xi", omega_symbol}
+    uses = [
+        (f"bracket [{initial.generators[i]},{initial.generators[j]}]", c)
+        for (i, j), combo in sorted(initial.brackets.items())
+        for c in combo.values()
+    ]
+    if omega != "sym":
+        uses.append(("the target value", omega_value))
+    for where, value in uses:
+        for sym in value.variables():
+            if sym in reserved:
+                raise ExpansionError(f"{where} uses the reserved symbol {sym!r}")
     # identify checked every bracket of the initial algebra at these
     # (w1, w2), so it is the target's contraction along this axis, up to
     # the extension bracket m*Xi
@@ -160,21 +174,15 @@ class CasimirSplit:
 
 
 def _split_linear(elem: UEAElement, sym: str, onto: LieAlgebra):
-    base, lin = {}, {}
+    pieces = ({}, {})  # the terms free of sym, the terms linear in it
     for exps, coeff in elem.terms.items():
-        if coeff.den.degree_in(sym):
-            raise ExpansionError(f"coefficient denominator contains {sym}")
-        if coeff.num.degree_in(sym) > 1:
-            raise ExpansionError(
-                f"Casimir is not linear in {sym}: coefficient {coeff}"
-            )
-        c0 = Scalar(coeff.num.coeff_of_power(sym, 0), coeff.den)
-        c1 = Scalar(coeff.num.coeff_of_power(sym, 1), coeff.den)
-        if not c0.is_zero:
-            base[exps] = c0
-        if not c1.is_zero:
-            lin[exps] = c1
-    return UEAElement(onto, base), UEAElement(onto, lin)
+        for (k,), c in split_symbols(coeff, (sym,)).items():
+            if k > 1:
+                raise ExpansionError(
+                    f"Casimir is not linear in {sym}: coefficient {coeff}"
+                )
+            pieces[k][exps] = c
+    return UEAElement(onto, pieces[0]), UEAElement(onto, pieces[1])
 
 
 def split_casimirs(problem: ExpansionProblem):
@@ -581,6 +589,8 @@ def analyze_closure(g: LieAlgebra, primed) -> ClosureReport:
 
 def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionReport:
     """Full pipeline for one expansion arrow."""
+    if degree_bound is not None and degree_bound < 0:
+        raise ExpansionError(f"degree bound must be >= 0, got {degree_bound}")
     report = ExpansionReport(problem=problem)
     splits = split_casimirs(problem)
     report.splits = splits
@@ -637,7 +647,7 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
             for eq in pair_eqs
             for rel in problem.relations
             if any(
-                coeff.num.degree_in(v) or coeff.den.degree_in(v)
+                v in coeff.variables()
                 for coeff in eq.terms.values()
                 for v in rel.scalar.variables()
             )

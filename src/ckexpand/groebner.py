@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import Poly, Scalar, _coeff, add_term, as_scalar, grlex_key
+from .poly import (
+    Poly, Scalar, _coeff, add_term, as_scalar, grlex_key, split_symbols,
+)
 
 __all__ = [
     "ParamPoly",
@@ -39,29 +41,8 @@ class ParamPoly:
         self.terms = terms if terms is not None else {}
 
     @classmethod
-    def from_poly(cls, p: Poly, unknowns) -> "ParamPoly":
-        unknowns = tuple(unknowns)
-        index = {u: i for i, u in enumerate(unknowns)}
-        terms: dict = {}
-        for mono, coeff in p.terms.items():
-            exps = [0] * len(unknowns)
-            rest = []
-            for sym, e in mono:
-                if sym in index:
-                    exps[index[sym]] = e
-                else:
-                    rest.append((sym, e))
-            add_term(terms, tuple(exps), Scalar(Poly({tuple(rest): coeff})))
-        return cls(unknowns, terms)
-
-    @classmethod
     def from_scalar(cls, s: Scalar, unknowns) -> "ParamPoly":
-        unknowns = tuple(unknowns)
-        for u in unknowns:
-            if s.den.degree_in(u):
-                raise ValueError(f"denominator contains the unknown {u!r}")
-        body = cls.from_poly(s.num, unknowns)
-        return body.scale(Scalar(Poly.const(1), s.den))
+        return cls(unknowns, split_symbols(s, unknowns))
 
     @classmethod
     def coerce(cls, value, unknowns) -> "ParamPoly":
@@ -69,8 +50,6 @@ class ParamPoly:
             if tuple(value.unknowns) != tuple(unknowns):
                 raise ValueError("unknown lists differ")
             return value
-        if isinstance(value, Poly):
-            return cls.from_poly(value, unknowns)
         return cls.from_scalar(as_scalar(value), unknowns)
 
     # -- queries ----------------------------------------------------------

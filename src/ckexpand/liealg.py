@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Scalar, ScalarDivisionError, add_term, as_scalar
+from .poly import (
+    Scalar, ScalarDivisionError, add_term, as_scalar, split_symbols,
+)
 
 __all__ = [
     "LieAlgebra",
@@ -212,23 +214,14 @@ class LieAlgebra:
 
 
 def _linear_combo(value: Scalar, labels) -> dict:
-    """Split a Scalar linear in the given labels into label -> coefficient."""
+    """Split a Scalar linear in the given labels into label -> coefficient,
+    in the order of labels."""
     combo = {}
-    remaining = value
-    for label in labels:
-        coeff_num = value.num.coeff_of_power(label, 1)
-        if coeff_num.is_zero:
-            continue
-        if coeff_num.degree_in(label) or any(
-            coeff_num.degree_in(other) for other in labels if other != label
-        ):
+    for exps, coeff in split_symbols(value, labels).items():
+        if sum(exps) != 1:
             raise ValueError(f"expression is not linear in generators: {value}")
-        coeff = Scalar(coeff_num, value.den)
-        combo[label] = coeff
-        remaining = remaining - coeff * Scalar.symbol(label)
-    if not remaining.is_zero:
-        raise ValueError(f"expression has a generator-free part: {value}")
-    return combo
+        combo[labels[exps.index(1)]] = coeff
+    return {label: combo[label] for label in labels if label in combo}
 
 
 class _Builder:

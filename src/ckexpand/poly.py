@@ -22,7 +22,8 @@ vectors, bracket combinations keyed by generator index, constraint
 polynomials keyed by exponents in the unknowns.  Such a term dict never
 holds a zero coefficient, and ``add_term`` is the one place that keeps
 it so.  Exponent vectors are ordered by ``grlex_key``: total degree
-first, then lexicographically.
+first, then lexicographically.  ``split_symbols`` is the one way to
+split a Scalar into such a dict of monomials over chosen symbols.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "exact_div",
     "grlex_key",
     "parse_scalar",
+    "split_symbols",
 ]
 
 
@@ -103,14 +105,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.terms == _ONE_TERMS
 
-    def degree_in(self, sym: str) -> int:
-        best = 0
-        for mono in self.terms:
-            for s, e in mono:
-                if s == sym and e > best:
-                    best = e
-        return best
-
     def variables(self):
         seen = set()
         for mono in self.terms:
@@ -125,21 +119,6 @@ class Poly:
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         return None
-
-    def coeff_of_power(self, sym: str, k: int) -> "Poly":
-        """Coefficient of sym**k, as a polynomial in the other symbols."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            exp = 0
-            rest = []
-            for s, e in mono:
-                if s == sym:
-                    exp = e
-                else:
-                    rest.append((s, e))
-            if exp == k:
-                out[tuple(rest)] = coeff
-        return Poly(out)
 
     def content(self):
         """Positive rational content (gcd of all coefficients)."""
@@ -511,6 +490,34 @@ def add_term(terms, key, coeff):
         terms[key] = coeff
 
 
+def split_symbols(value: Scalar, symbols) -> dict:
+    """Split a Scalar into monomials over ``symbols``.
+
+    Returns {exponents: coefficient}: each exponent tuple follows the order
+    of ``symbols``, and its coefficient is the Scalar, free of them, that
+    its numerator terms leave over the denominator of value.  A symbol in
+    the denominator raises ValueError.
+    """
+    index = {s: i for i, s in enumerate(symbols)}
+    for sym in value.den.variables():
+        if sym in index:
+            raise ValueError(f"{sym!r} appears in a denominator: {value}")
+    groups: dict = {}
+    for mono, coeff in value.num.terms.items():
+        exps = [0] * len(index)
+        rest = []
+        for sym, e in mono:
+            i = index.get(sym)
+            if i is None:
+                rest.append((sym, e))
+            else:
+                exps[i] = e
+        groups.setdefault(tuple(exps), {})[tuple(rest)] = coeff
+    return {
+        exps: Scalar(Poly(terms), value.den) for exps, terms in groups.items()
+    }
+
+
 def as_scalar(value):
     """Coerce ints, Fractions, Polys or symbol strings to Scalar."""
     if isinstance(value, Scalar):
@@ -588,6 +595,9 @@ class _Parser:
             elif tok == ("op", "/"):
                 self.take()
                 value = value / self.factor()
+            elif tok is not None and (tok[0] == "sym" or tok == ("op", "(")):
+                # juxtaposition multiplies: "2 H P1" is 2*H*P1
+                value = value * self.factor()
             else:
                 return value
 

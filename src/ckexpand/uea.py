@@ -18,7 +18,9 @@ import itertools
 from dataclasses import dataclass
 
 from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
-from .poly import Scalar, add_term, as_scalar, grlex_key, _tokenize, _Parser
+from .poly import (
+    Scalar, add_term, as_scalar, grlex_key, parse_scalar, split_symbols,
+)
 
 __all__ = [
     "UEAElement",
@@ -227,9 +229,11 @@ def _word_of(exps):
 def uea_mul(a: UEAElement, b: UEAElement) -> UEAElement:
     a._check(b)
     total: dict = {}
+    b_words = [(_word_of(eb), cb) for eb, cb in b.terms.items()]
     for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            piece = pbw_normalize(a.algebra, _word_of(ea) + _word_of(eb), ca * cb)
+        wa = _word_of(ea)
+        for wb, cb in b_words:
+            piece = pbw_normalize(a.algebra, wa + wb, ca * cb)
             for exps, coeff in piece.terms.items():
                 add_term(total, exps, coeff)
     return UEAElement(a.algebra, total)
@@ -444,73 +448,8 @@ def central_reduce(x: UEAElement, relations, bound=None):
 
 
 def parse_element(algebra: LieAlgebra, text: str) -> UEAElement:
-    """Parse the 'coeff * H^a P1^b ...' sum-of-terms format."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty element string")
-    # split at top-level +/- signs
-    terms = []
-    depth = 0
-    current: list = []
-    sign = 1
-    for tok in tokens:
-        if tok == ("op", "("):
-            depth += 1
-        elif tok == ("op", ")"):
-            depth -= 1
-        if depth == 0 and tok in (("op", "+"), ("op", "-")) and current:
-            terms.append((sign, current))
-            sign = 1 if tok == ("op", "+") else -1
-            current = []
-            continue
-        if depth == 0 and tok == ("op", "-") and not current:
-            sign = -sign
-            continue
-        if depth == 0 and tok == ("op", "+") and not current:
-            continue
-        current.append(tok)
-    if current:
-        terms.append((sign, current))
-    labels = set(algebra.generators)
-    total = UEAElement(algebra)
-    for sign, toks in terms:
-        # consume generator power groups from the right
-        exps = [0] * algebra.dim
-        end = len(toks)
-        while end:
-            if (
-                end >= 3
-                and toks[end - 3][0] == "sym"
-                and toks[end - 3][1] in labels
-                and toks[end - 2] == ("op", "^")
-                and toks[end - 1][0] == "int"
-            ):
-                exps[algebra.index(toks[end - 3][1])] += toks[end - 1][1]
-                end -= 3
-            elif end >= 1 and toks[end - 1][0] == "sym" and toks[end - 1][1] in labels:
-                exps[algebra.index(toks[end - 1][1])] += 1
-                end -= 1
-            else:
-                break
-        coeff_toks = toks[:end]
-        if sum(exps) == 0:
-            # allow an explicit unit monomial "coeff * 1"
-            if (
-                len(coeff_toks) >= 2
-                and coeff_toks[-1] == ("int", 1)
-                and coeff_toks[-2] == ("op", "*")
-            ):
-                coeff_toks = coeff_toks[:-2]
-        elif coeff_toks and coeff_toks[-1] == ("op", "*"):
-            coeff_toks = coeff_toks[:-1]
-        if coeff_toks:
-            parser = _Parser(coeff_toks)
-            coeff = parser.expr()
-            if parser.peek() is not None:
-                raise ValueError(f"bad term in element string: {text!r}")
-        else:
-            coeff = Scalar.one()
-        coeff = coeff * sign
-        if not coeff.is_zero:
-            total = total + UEAElement(algebra, {tuple(exps): coeff})
-    return total
+    """Parse text as a polynomial in the generator labels: each monomial
+    names the PBW monomial with its exponents ("2 * H^2 P1 - w1 * J")."""
+    return UEAElement(
+        algebra, split_symbols(parse_scalar(text), algebra.generators)
+    )

@@ -1,12 +1,18 @@
 """Command-line interface: verbs, exit codes, deterministic JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ckexpand.cli import main
 from ckexpand.expand import ATLAS
-from ckexpand.liealg import BUILTIN_NAMES
+from ckexpand.liealg import BUILTIN_NAMES, make_ck_algebra
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
 
@@ -133,7 +139,7 @@ def test_atlas_json_is_deterministic(capsys):
     assert verdicts.count("closes-but-not-ck") == 1
 
 
-def test_degree_bound_env(capsys):
+def test_degree_bound_flag(capsys):
     code, _, err = run(capsys, "expand", "poincare", "--axis", "1",
                        "--degree-bound", "0")
     assert code == 2
@@ -141,6 +147,52 @@ def test_degree_bound_env(capsys):
     code, _, _ = run(capsys, "expand", "poincare", "--axis", "1",
                      "--degree-bound", "2")
     assert code == 0
+    # a negative bound is refused up front, on the closure path too
+    for argv in (
+        ["expand", "galilei", "--axis", "1", "--omega", "1", "--expect-failure"],
+        ["expand", "poincare", "--axis", "1"],
+        ["atlas"],
+    ):
+        code, out, err = run(capsys, *argv, "--degree-bound", "-5")
+        assert code == 2, argv
+        assert not out and "degree bound must be >= 0, got -5" in err
+
+
+@pytest.mark.parametrize("sym", ["a1", "c1", "xi", "w1"])
+def test_seed_using_a_reserved_symbol_exits_2(capsys, tmp_path, sym):
+    # a seed coefficient named like an unknown, a Casimir eigenvalue or the
+    # expanded coefficient would be merged with it in the constraints
+    seed = make_ck_algebra(0, sym)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(seed.to_json_dict()))
+    code, out, err = run(capsys, "expand", str(path), "--axis", "1",
+                         "--omega", "-1")
+    assert code == 2
+    assert not out and f"reserved symbol '{sym}'" in err
+
+
+def test_seed_with_a_free_parameter_name_expands(capsys, tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(make_ck_algebra(0, "q").to_json_dict()))
+    code, out, _ = run(capsys, "expand", str(path), "--axis", "1",
+                       "--omega", "-1")
+    assert code == 0
+    assert "constraint: 4*c1*q*a1^2 - 1 = 0" in out
+
+
+def test_module_entry_point_matches_main(capsys):
+    # what users run: a cold interpreter, the sources on the path
+    argv = ["expand", "poincare", "--axis", "1", "--json"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckexpand.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -210,6 +262,14 @@ MALFORMED = {
     "duplicate-generator": (
         {"generators": ["H", "H"], "brackets": {}},
         "'H' is listed twice",
+    ),
+    "generator-in-denominator": (
+        {"generators": ["H", "P1", "K1"], "brackets": {"[H,K1]": "P1/H"}},
+        "'[H,K1]'",
+    ),
+    "nonlinear-value": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": "H*P1"}},
+        "'[H,P1]'",
     ),
     "repeated-pair": (
         {

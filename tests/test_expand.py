@@ -19,6 +19,7 @@ from ckexpand.expand import (
     run_expansion,
     verify_with_values,
     _bracket_diff,
+    _split_linear,
 )
 from ckexpand.groebner import ParamPoly, groebner_basis, ideal_equals
 from ckexpand.liealg import (
@@ -83,6 +84,19 @@ def test_make_problem_invariants():
         make_problem("poincare", 2)  # w2 is already nonzero
     with pytest.raises(ExpansionError):
         make_problem("ext-galilei", 2)
+
+
+@pytest.mark.parametrize("sym", ["a1", "a2", "c1", "c2", "xi", "w1"])
+def test_make_problem_rejects_a_reserved_symbol_in_the_target_value(sym):
+    with pytest.raises(ExpansionError, match=f"'{sym}'"):
+        make_problem("poincare", 1, omega=parse_scalar(f"2*{sym}"))
+
+
+def test_split_linear_rejects_a_power_of_the_coefficient():
+    g = builtin_algebra("poincare")
+    square = UEAElement.monomial(g, {"H": 2}, parse_scalar("w1^2 + 1"))
+    with pytest.raises(ExpansionError, match="not linear in w1"):
+        _split_linear(square, "w1", g)
 
 
 def test_numeric_omega_targets_the_right_cell():

@@ -18,6 +18,7 @@ from ckexpand.poly import (
     exact_div,
     grlex_key,
     parse_scalar,
+    split_symbols,
 )
 
 SYMBOLS = ("x", "y", "z")
@@ -211,6 +212,34 @@ def test_add_term_inserts_sums_and_drops_a_cancelled_key():
     assert list(terms) == ["b"]
 
 
+@given(polys, nonzero_polys, st.lists(st.sampled_from(SYMBOLS), unique=True))
+def test_split_symbols_recombines_to_the_input(num, den, syms):
+    s = Scalar(num, den)
+    if set(s.den.variables()) & set(syms):
+        with pytest.raises(ValueError):
+            split_symbols(s, syms)
+        return
+    total = Scalar.zero()
+    for exps, coeff in split_symbols(s, syms).items():
+        assert len(exps) == len(syms)
+        assert not set(coeff.variables()) & set(syms)
+        for sym, e in zip(syms, exps):
+            coeff = coeff * Scalar.symbol(sym) ** e
+        total = total + coeff
+    assert total == s
+
+
+def test_split_symbols_groups_by_exponents_and_names_a_denominator_symbol():
+    parts = split_symbols(parse_scalar("(2*x^2*y + z*x^2 - y)/(z + 1)"), ("x", "y"))
+    assert parts == {
+        (2, 1): parse_scalar("2/(z + 1)"),
+        (2, 0): parse_scalar("z/(z + 1)"),
+        (0, 1): parse_scalar("-1/(z + 1)"),
+    }
+    with pytest.raises(ValueError, match="'y'"):
+        split_symbols(parse_scalar("x/(y + 1)"), ("x", "y"))
+
+
 def test_scalar_normalizes_exact_divisor():
     x = Poly.symbol("x")
     one = Poly.const(1)
@@ -253,6 +282,9 @@ def test_zero_denominator_rejected():
         ("(x + 1)*(x - 1)", Scalar(Poly.symbol("x") ** 2 - Poly.const(1))),
         ("x / (y + 1)", Scalar(Poly.symbol("x"), Poly.symbol("y") + Poly.const(1))),
         ("2^3", as_scalar(8)),
+        # juxtaposition multiplies, at the precedence of *
+        ("2 x (y + 1)", Scalar(2 * Poly.symbol("x") * (Poly.symbol("y") + 1))),
+        ("1/2 x^2 y", Scalar(Poly({(("x", 2), ("y", 1)): Fraction(1, 2)}))),
     ],
 )
 def test_parse_scalar_examples(text, expected):

@@ -262,6 +262,24 @@ def test_products_accumulate_in_one_dict_not_by_element_sums(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_product_builds_each_factor_word_once(monkeypatch):
+    # len(a) + len(b) words per product, not two per pair of terms
+    import ckexpand.uea
+
+    g = builtin_algebra("poincare")
+    c2 = casimir(g, 2)
+    calls = []
+    word_of = ckexpand.uea._word_of
+
+    def counted_word_of(exps):
+        calls.append(exps)
+        return word_of(exps)
+
+    monkeypatch.setattr(ckexpand.uea, "_word_of", counted_word_of)
+    assert not uea_mul(c2, c2).is_zero
+    assert len(calls) == 2 * len(c2.terms) == 6
+
+
 # -- textual format -------------------------------------------------------------
 
 
@@ -286,3 +304,18 @@ def test_parse_roundtrip_on_engine_outputs():
 def test_parse_rejects_unknown_generator_power():
     with pytest.raises(ValueError):
         parse_element(SYMBOLIC, "2 * H^")
+
+
+def test_parse_reads_generator_labels_anywhere_in_a_term():
+    g = builtin_algebra("poincare")
+    h_p1 = UEAElement.monomial(g, {"H": 1, "P1": 1})
+    assert parse_element(g, "H*P1") == parse_element(g, "H P1") == h_p1
+    assert parse_element(g, "2 * H P1") == h_p1.scale(2)
+    c1_h2 = UEAElement.monomial(g, {"H": 2}, "c1")
+    assert parse_element(g, "H^2 * c1") == parse_element(g, "c1 * H^2") == c1_h2
+
+
+def test_parse_rejects_a_generator_in_a_denominator():
+    g = builtin_algebra("poincare")
+    with pytest.raises(ValueError, match="'H'"):
+        parse_element(g, "1/H * P1")
