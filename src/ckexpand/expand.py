@@ -44,7 +44,7 @@ from .liealg import (
     make_ck_algebra,
     with_central_generator,
 )
-from .poly import Scalar, as_scalar, grlex_key, split_symbols
+from .poly import Scalar, add_term, as_scalar, grlex_key, split_symbols
 from .uea import (
     CentralReducer,
     UEAElement,
@@ -305,14 +305,17 @@ def _pair_name(g, i, j):
 
 
 def _bracket_diff(problem, primed, i, j):
+    """[X_i', X_j'] - sum_n c_n X_n' for the target's [X_i, X_j], summed
+    into the commutator's own term dict."""
     g = problem.initial
-    lhs = uea_commutator(
+    terms = uea_commutator(
         primed[g.generators[i]], primed[g.generators[j]]
-    )
-    rhs = UEAElement(g)
-    for n, c in problem.target.bracket(i, j).items():
-        rhs = rhs + primed[g.generators[n]].scale(c)
-    return lhs - rhs
+    ).terms
+    for n, c in problem.target.table[i][j]:
+        neg = -c
+        for exps, coeff in primed[g.generators[n]].terms.items():
+            add_term(terms, exps, neg * coeff)
+    return UEAElement(g, terms)
 
 
 def _remainder_equations(remainder: UEAElement, pair: str):

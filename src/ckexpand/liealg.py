@@ -9,6 +9,8 @@ of the two curvature coefficients (w1, w2).
 
 Generator order is fixed globally as H, P1, P2, K1, K2, J, Xi; bracket
 tables store only pairs (i, j) with i < j, antisymmetry being implied.
+Each algebra also keeps the signed table of both index orders, which the
+PBW rewriting and the derivation rule read.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ def _same_combo(a: dict, b: dict) -> bool:
 
 
 class LieAlgebra:
-    """Ordered generators plus an antisymmetric bracket table."""
+    """Ordered generators plus an antisymmetric bracket table.
+
+    ``brackets`` holds the pairs i < j as given; ``table[i][j]`` holds
+    [X_i, X_j] for both orders as a tuple of (index, coefficient) pairs,
+    empty when the bracket vanishes.
+    """
 
     def __init__(self, name, generators, brackets, parameters=()):
         self.name = name
@@ -75,6 +82,10 @@ class LieAlgebra:
         self.brackets = {k: v for k, v in self.brackets.items() if v}
         self.parameters = tuple(parameters)
         self._index = {g: i for i, g in enumerate(self.generators)}
+        self.table = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), combo in self.brackets.items():
+            self.table[i][j] = tuple(combo.items())
+            self.table[j][i] = tuple((n, -c) for n, c in combo.items())
 
     @property
     def dim(self) -> int:
@@ -85,22 +96,18 @@ class LieAlgebra:
 
     def bracket(self, i: int, j: int) -> dict:
         """[X_i, X_j] as a map generator index -> Scalar coefficient."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {n: -c for n, c in self.brackets.get((j, i), {}).items()}
+        return dict(self.table[i][j])
 
     def bracket_labels(self, x: str, y: str) -> dict:
         """[x, y] keyed by generator label."""
         combo = self.bracket(self.index(x), self.index(y))
         return {self.generators[n]: c for n, c in combo.items()}
 
-    def ad_combo(self, combo: dict, k: int) -> dict:
-        """[sum_n combo[n] X_n, X_k] by linearity."""
+    def ad_combo(self, pairs, k: int) -> dict:
+        """[sum c X_n, X_k] by linearity over the (n, c) ``pairs``."""
         out: dict = {}
-        for n, c in combo.items():
-            for m, d in self.bracket(n, k).items():
+        for n, c in pairs:
+            for m, d in self.table[n][k]:
                 add_term(out, m, c * d)
         return out
 
@@ -372,7 +379,7 @@ def check_structure(g: LieAlgebra) -> StructureReport:
                 count += 1
                 residual: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, coeff in g.ad_combo(g.bracket(a, b), c).items():
+                    for m, coeff in g.ad_combo(g.table[a][b], c).items():
                         add_term(residual, m, coeff)
                 if residual:
                     triple = tuple(g.generators[t] for t in (i, j, k))

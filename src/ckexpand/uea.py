@@ -5,6 +5,7 @@ algebra's generators in the fixed global order.  Products are computed
 by rewriting words: each adjacent out-of-order pair X_a X_b (a > b) is
 replaced by X_b X_a + [X_a, X_b], which strictly lowers (degree,
 inversion count) and therefore terminates in the PBW normal form.
+Commutators follow the derivation rule instead of forming ab - ba.
 
 Also provides the quadratic Casimir elements of the kinematical family,
 centrality testing, and exact reduction modulo relations that equate a
@@ -192,11 +193,10 @@ class UEAElement:
         return f"UEAElement({self.algebra.name}: {self})"
 
 
-def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
-    """Normal-order a word of generator indices with a Scalar weight."""
-    coeff = as_scalar(coeff)
-    result: dict = {}
-    stack = [(tuple(word), coeff)]
+def _rewrite(algebra: LieAlgebra, stack, result) -> None:
+    """Normal-order every (word, Scalar) on ``stack`` into the term dict
+    ``result``, swapping the first out-of-order pair of each word."""
+    table = algebra.table
     while stack:
         w, c = stack.pop()
         if c.is_zero:
@@ -214,8 +214,14 @@ def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
             continue
         a, b = w[pos], w[pos + 1]
         stack.append((w[:pos] + (b, a) + w[pos + 2 :], c))
-        for n, bc in algebra.bracket(a, b).items():
+        for n, bc in table[a][b]:
             stack.append((w[:pos] + (n,) + w[pos + 2 :], c * bc))
+
+
+def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
+    """Normal-order a word of generator indices with a Scalar weight."""
+    result: dict = {}
+    _rewrite(algebra, [(tuple(word), as_scalar(coeff))], result)
     return UEAElement(algebra, result)
 
 
@@ -233,24 +239,40 @@ def uea_mul(a: UEAElement, b: UEAElement) -> UEAElement:
     for ea, ca in a.terms.items():
         wa = _word_of(ea)
         for wb, cb in b_words:
-            piece = pbw_normalize(a.algebra, wa + wb, ca * cb)
+            # a reducer row times a letter has the unit coefficient here
+            piece = pbw_normalize(
+                a.algebra, wa + wb, ca if cb.is_one else ca * cb
+            )
             for exps, coeff in piece.terms.items():
                 add_term(total, exps, coeff)
     return UEAElement(a.algebra, total)
 
 
-def _times_generator(algebra, terms, k):
-    """The terms of x * X_k for x given by its terms."""
-    total: dict = {}
-    for exps, coeff in terms.items():
-        piece = pbw_normalize(algebra, _word_of(exps) + (k,), coeff)
-        for e, c in piece.terms.items():
-            add_term(total, e, c)
-    return total
-
-
 def uea_commutator(a: UEAElement, b: UEAElement) -> UEAElement:
-    return uea_mul(a, b) - uea_mul(b, a)
+    """[a, b] by the derivation rule: for words x_1..x_p and y_1..y_q,
+
+        [x_1..x_p, y_1..y_q] = sum over k, l of
+            x_1..x_(k-1) y_1..y_(l-1) [x_k, y_l] y_(l+1)..y_q x_(k+1)..x_p,
+
+    so only words of length p + q - 1 are normal-ordered, one per nonzero
+    letter bracket, and the top degrees of ab and ba never appear."""
+    a._check(b)
+    table = a.algebra.table
+    stack = []
+    b_words = [(_word_of(eb), cb) for eb, cb in b.terms.items()]
+    for ea, ca in a.terms.items():
+        wa = _word_of(ea)
+        for wb, cb in b_words:
+            c = ca * cb
+            for k, x in enumerate(wa):
+                head, tail = wa[:k], wa[k + 1 :]
+                for l, y in enumerate(wb):
+                    for n, bc in table[x][y]:
+                        word = head + wb[:l] + (n,) + wb[l + 1 :] + tail
+                        stack.append((word, c * bc))
+    result: dict = {}
+    _rewrite(a.algebra, stack, result)
+    return UEAElement(a.algebra, result)
 
 
 # -- Casimir elements ----------------------------------------------------------
@@ -399,22 +421,27 @@ class CentralReducer:
         self.bound = bound
         self.span = _Span()
         one = UEAElement.one(algebra)
+        letters = [
+            UEAElement.generator(algebra, label) for label in algebra.generators
+        ]
         for rel in self.relations:
             if rel.element.algebra is not algebra:
                 raise MixedAlgebraError("relation element from another algebra")
-            products = {(): (rel.element - one.scale(rel.scalar)).terms}
+            products = {(): rel.element - one.scale(rel.scalar)}
             for deg in range(bound + 1):
                 for word in itertools.combinations_with_replacement(
                     range(algebra.dim), deg
                 ):
                     if word:
-                        products[word] = _times_generator(
-                            algebra, products[word[:-1]], word[-1]
+                        products[word] = uea_mul(
+                            products[word[:-1]], letters[word[-1]]
                         )
                     exps = [0] * algebra.dim
                     for idx in word:
                         exps[idx] += 1
-                    self.span.add(products[word], (rel.label, tuple(exps)))
+                    self.span.add(
+                        products[word].terms, (rel.label, tuple(exps))
+                    )
 
     def reduce(self, x: UEAElement):
         if x.degree() - 2 > self.bound:

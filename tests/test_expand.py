@@ -30,7 +30,7 @@ from ckexpand.liealg import (
     make_ck_algebra,
 )
 from ckexpand.poly import parse_scalar
-from ckexpand.uea import UEAElement, parse_element
+from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
 
 from oracles import oracle_reconstruct
 
@@ -336,6 +336,52 @@ def test_each_bracket_is_computed_once(monkeypatch):
     assert report.verdict == "pass"
     # 6 commutators [J, X] plus one per generator pair (15)
     assert len(calls) == 6 + 15
+
+
+def test_commutators_normal_order_no_product(monkeypatch):
+    # a commutator rewrites its derivation-rule words on one stack, so no
+    # pbw_normalize call is left to it; products ab and ba would make one
+    # call per term pair each (6 for this commutator, 198 for the run)
+    import ckexpand.uea
+
+    calls = []
+    original = ckexpand.uea.pbw_normalize
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ckexpand.uea, "pbw_normalize", counted)
+    g = builtin_algebra("poincare")
+    assert uea_commutator(casimir(g, 1), UEAElement.generator(g, "P1")).is_zero
+    assert len(calls) == 0
+    run_expansion(make_problem("poincare", 1))
+    # only the reducer rows at bound 1: 6 letters x (4 + 4) relation terms
+    assert len(calls) == 48
+
+
+def test_bracket_difference_sums_into_one_dict(monkeypatch):
+    report = run_expansion(make_problem("poincare", 1))
+    problem, primed = report.problem, report.primed
+    g = problem.initial
+    want = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            diff = primed[g.generators[i]].commutator(primed[g.generators[j]])
+            for n, c in problem.target.bracket(i, j).items():
+                diff = diff - primed[g.generators[n]].scale(c)
+            want[(i, j)] = diff
+    calls = []
+    add = UEAElement.__add__
+
+    def counted_add(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(UEAElement, "__add__", counted_add)
+    for (i, j), diff in want.items():
+        assert _bracket_diff(problem, primed, i, j) == diff
+    assert len(calls) == 0
 
 
 def test_order_independence_is_still_checked(monkeypatch):

@@ -97,6 +97,21 @@ def test_mutated_table_fails_jacobi():
     assert not oracle_jacobi_ok(broken)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"])
+def test_signed_table_is_antisymmetric(name):
+    g = builtin_algebra(name)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            assert g.bracket(i, j) == {n: -c for n, c in g.bracket(j, i).items()}
+            if i < j:
+                assert g.bracket(i, j) == g.brackets.get((i, j), {})
+    # bracket hands out a copy: changing it leaves the table alone
+    got = g.bracket(3, 0)
+    assert got == {g.index("P1"): as_scalar(1)}
+    got.clear()
+    assert g.bracket(3, 0) == dict(g.table[3][0]) != {}
+
+
 def test_bracket_antisymmetry_accessor():
     i, j = SYMBOLIC.index("H"), SYMBOLIC.index("K1")
     assert SYMBOLIC.bracket(i, j) == {SYMBOLIC.index("P1"): as_scalar(-1)}

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckexpand.liealg import (
     BUILTIN_NAMES,
@@ -13,7 +14,7 @@ from ckexpand.liealg import (
     make_ck_algebra,
     make_extended_galilei,
 )
-from ckexpand.poly import Scalar, as_scalar, grlex_key, parse_scalar
+from ckexpand.poly import Scalar, add_term, as_scalar, grlex_key, parse_scalar
 from ckexpand.uea import (
     BoundExceededError,
     CentralReducer,
@@ -90,6 +91,55 @@ def test_mixed_algebra_operands_rejected():
             UEAElement.generator(SYMBOLIC, "H"),
             UEAElement.generator(builtin_algebra("poincare"), "H"),
         )
+    # the derivation rule checks before it looks at a single letter
+    for a, b in [
+        (UEAElement.generator(SYMBOLIC, "H"), UEAElement.generator(EXT, "P1")),
+        (UEAElement.zero(EXT), UEAElement.generator(SYMBOLIC, "K1")),
+    ]:
+        with pytest.raises(MixedAlgebraError):
+            uea_commutator(a, b)
+
+
+COEFFS = [parse_scalar(t) for t in ("1", "-2", "w1", "3/2*w2 - 1", "a1*w1")]
+
+
+@st.composite
+def elements(draw, algebra):
+    """A random element: up to three words of length <= 3."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        word = draw(st.lists(st.integers(0, algebra.dim - 1), max_size=3))
+        exps = [0] * algebra.dim
+        for idx in word:
+            exps[idx] += 1
+        add_term(terms, tuple(exps), draw(st.sampled_from(COEFFS)))
+    return UEAElement(algebra, terms)
+
+
+def oracle_product_difference(a, b, rng):
+    """ab - ba, every word normal-ordered by the random-choice oracle."""
+    g = a.algebra
+    total = UEAElement(g)
+    for ea, ca in a.terms.items():
+        wa = [idx for idx, e in enumerate(ea) for _ in range(e)]
+        for eb, cb in b.terms.items():
+            wb = [idx for idx, e in enumerate(eb) for _ in range(e)]
+            total = total + (
+                oracle_normalize(g, wa + wb, rng)
+                - oracle_normalize(g, wb + wa, rng)
+            ).scale(ca * cb)
+    return total
+
+
+@pytest.mark.parametrize("algebra", [SYMBOLIC, EXT], ids=lambda g: g.name)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_commutator_matches_product_difference(algebra, data):
+    a = data.draw(elements(algebra))
+    b = data.draw(elements(algebra))
+    got = uea_commutator(a, b)
+    assert got == uea_mul(a, b) - uea_mul(b, a)
+    assert got == oracle_product_difference(a, b, data.draw(st.randoms()))
 
 
 # -- Casimirs ---------------------------------------------------------------
@@ -211,7 +261,8 @@ def test_relation_from_foreign_algebra_rejected():
 def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
     # each row is the row of its cofactor without the last letter, times
     # that letter: the build makes no full product.  poincare at bound 3
-    # has 2 x 84 cofactors, of which 161 give independent rows.
+    # has 2 x 84 cofactors, of which 161 give independent rows; each of
+    # the 2 x 83 non-empty ones costs one product by a single generator.
     import ckexpand.uea
 
     g = builtin_algebra("poincare")
@@ -220,12 +271,15 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
     mul = ckexpand.uea.uea_mul
 
     def counted_mul(a, b):
-        calls.append(1)
+        calls.append(b)
         return mul(a, b)
 
     monkeypatch.setattr(ckexpand.uea, "uea_mul", counted_mul)
     reducer = CentralReducer(g, relations, 3)
-    assert len(calls) == 0
+    assert len(calls) == 166
+    for right in calls:
+        [(exps, coeff)] = right.terms.items()
+        assert sum(exps) == 1 and coeff.is_one
     rows = reducer.span.rows
     assert len(rows) == 161
     for lead, (terms, _) in rows.items():
