@@ -103,11 +103,10 @@ class ParamPoly:
         coeff = as_scalar(coeff)
         if coeff.is_zero:
             return ParamPoly(self.unknowns)
-        one = coeff.is_one
         return ParamPoly(
             self.unknowns,
             {
-                tuple(a + b for a, b in zip(k, exps)): v if one else v * coeff
+                tuple(a + b for a, b in zip(k, exps)): v * coeff
                 for k, v in self.terms.items()
             },
         )
@@ -236,7 +235,7 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
         else:
             remainder[key] = coeff
             continue
-        neg = -coeff if blc.is_one else -(coeff / blc)
+        neg = -(coeff / blc)
         shift = tuple(k - bk for k, bk in zip(key, bkey))
         for exps, c in bterms.items():
             if exps == bkey:

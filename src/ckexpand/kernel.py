@@ -5,7 +5,9 @@ coefficients: ``int`` when integral, else ``fractions.Fraction`` (most
 coefficients are integers, and ``int`` arithmetic is much cheaper; the
 two mix exactly).  A monomial is a tuple of
 ``(symbol, exponent)`` pairs, sorted by symbol name, with all exponents
-positive; the empty tuple is the unit monomial.
+positive; the empty tuple is the unit monomial.  Every operation here
+returns integral coefficients as ``int``, so a sum like 1/2 + 1/2 does
+not leave a ``Fraction`` on later products.
 """
 
 # recorded by the benchmark as ckexpand.KERNEL_IMPLEMENTATION
@@ -51,11 +53,21 @@ def terms_add(ta, tb):
             out[mono] = coeff
         else:
             acc = acc + coeff
-            if acc:
+            if not acc:
+                del out[mono]
+            elif type(acc) is int or acc.denominator != 1:
                 out[mono] = acc
             else:
-                del out[mono]
+                out[mono] = acc.numerator
     return out
+
+
+def _integral(terms):
+    """terms with every integral Fraction made an int, in place."""
+    for mono, coeff in terms.items():
+        if type(coeff) is not int and coeff.denominator == 1:
+            terms[mono] = coeff.numerator
+    return terms
 
 
 def terms_neg(ta):
@@ -65,7 +77,7 @@ def terms_neg(ta):
 def terms_scale(ta, q):
     if not q:
         return {}
-    return {mono: coeff * q for mono, coeff in ta.items()}
+    return _integral({mono: coeff * q for mono, coeff in ta.items()})
 
 
 def terms_mul(ta, tb):
@@ -87,4 +99,4 @@ def terms_mul(ta, tb):
                     out[mono] = acc
                 else:
                     del out[mono]
-    return out
+    return _integral(out)

@@ -418,10 +418,37 @@ class Scalar:
     def __rsub__(self, other):
         return -(self - other)
 
+    def _constant(self):
+        """The rational value of a nonzero constant, else None."""
+        terms = self.num.terms
+        if len(terms) == 1 and () in terms and self.den.is_one:
+            return terms[()]
+        return None
+
+    def _scaled(self, q):
+        # a nonzero constant changes neither the monomial content nor
+        # whether one side divides the other, and the denominator already
+        # has content 1 and a positive leading coefficient: only the
+        # numerator moves
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
+        out = Scalar.__new__(Scalar)
+        out.num = Poly(terms_scale(self.num.terms, q))
+        out.den = self.den
+        return out
+
     def __mul__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
+        q = other._constant()
+        if q is not None:
+            return self._scaled(q)
+        q = self._constant()
+        if q is not None:
+            return other._scaled(q)
         if self.den.is_one and other.den.is_one:
             return Scalar(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
@@ -434,6 +461,9 @@ class Scalar:
             return NotImplemented
         if other.is_zero:
             raise ScalarDivisionError("division by zero scalar")
+        q = other._constant()
+        if q is not None:
+            return self._scaled(Fraction(1, q))
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

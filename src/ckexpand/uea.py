@@ -239,10 +239,7 @@ def uea_mul(a: UEAElement, b: UEAElement) -> UEAElement:
     for ea, ca in a.terms.items():
         wa = _word_of(ea)
         for wb, cb in b_words:
-            # a reducer row times a letter has the unit coefficient here
-            piece = pbw_normalize(
-                a.algebra, wa + wb, ca if cb.is_one else ca * cb
-            )
+            piece = pbw_normalize(a.algebra, wa + wb, ca * cb)
             for exps, coeff in piece.terms.items():
                 add_term(total, exps, coeff)
     return UEAElement(a.algebra, total)

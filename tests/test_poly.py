@@ -48,11 +48,16 @@ monomials = st.builds(
         st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 3)), max_size=3
     ),
 )
-# plain ints too: the engine mixes int and Fraction coefficients
-coeffs = st.one_of(
-    st.integers(-5, 5),
-    st.fractions(min_value=-5, max_value=5, max_denominator=4),
-).filter(lambda q: q != 0)
+# plain ints too: the engine mixes int and Fraction coefficients; an
+# integral value is an int, as Poly requires of its terms
+coeffs = (
+    st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    )
+    .filter(lambda q: q != 0)
+    .map(lambda q: q.numerator if q.denominator == 1 else q)
+)
 polys = st.builds(
     lambda terms: Poly(dict(terms)),
     st.lists(st.tuples(monomials, coeffs), max_size=4).map(dict),
@@ -86,9 +91,18 @@ def test_exact_division_roundtrip(a, b):
 
 # -- sympy oracle for Scalar arithmetic -----------------------------------------
 
+# the constants that take the shortcut in Scalar products and quotients
+constants = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-5, 5).filter(lambda q: q not in (0, 1, -1)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+        lambda q: q.denominator != 1
+    ),
+)
 scalars = st.one_of(
     polys.map(Scalar),
     st.builds(Scalar, polys, nonzero_polys),
+    constants.map(Scalar.const),
 )
 
 
@@ -104,6 +118,47 @@ def test_scalar_arithmetic_matches_sympy(a, b):
         assert sympy.cancel(to_sympy(a / b) - sa / sb) == 0
     for x, y in ((a, b), (a + b - b, a)):
         assert (x == y) == (sympy.cancel(to_sympy(x) - to_sympy(y)) == 0)
+
+
+def _shape(s):
+    """Terms and coefficient types of a Scalar's numerator and denominator."""
+    return [
+        {mono: (coeff, type(coeff)) for mono, coeff in p.terms.items()}
+        for p in (s.num, s.den)
+    ]
+
+
+@given(scalars, constants)
+def test_constant_factors_give_the_general_normal_form(a, c):
+    # the atlas JSON prints num and den as they are, so the shortcut must
+    # give the very terms the normaliser would, not just an equal value
+    product = _shape(Scalar(a.num * Poly.const(c), a.den))
+    assert _shape(a * c) == product
+    assert _shape(c * a) == product
+    assert _shape(a * Scalar.const(c)) == product
+    assert _shape(Scalar.const(c) * a) == product
+    quotient = _shape(Scalar(a.num * Poly.const(Fraction(1) / c), a.den))
+    assert _shape(a / c) == quotient
+    assert _shape(a / Scalar.const(c)) == quotient
+
+
+def test_constant_factors_never_reach_the_polynomial_product():
+    import ckexpand.poly
+
+    s = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
+    assert not s.den.is_one
+
+    def refused(x, y):
+        raise AssertionError("terms_mul called for a constant factor")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckexpand.poly, "terms_mul", refused)
+        results = [s * 1, s * -1, 3 * s, s * Scalar.const(3), s / 2]
+    assert results[0] is s
+    expected = ["-w1*c1 - 2", "3*w1*c1 + 6", "3*w1*c1 + 6", "1/2*w1*c1 + 1"]
+    for got, num in zip(results[1:], expected):
+        assert got == parse_scalar(f"({num})/(w1 - 3*c2)")
+        assert got.den is s.den
 
 
 @given(polys, polys)
@@ -126,6 +181,9 @@ def test_integral_numbers_enter_a_poly_as_ints():
         Poly.const(True),
         x * Fraction(4, 2),
         x.scale(Fraction(-2, 2)),
+        x.scale(Fraction(1, 2)) * 2,
+        x.scale(Fraction(1, 2)) * Poly.const(Fraction(4, 3)) * 3,
+        x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)),
     ):
         assert [type(c) for c in p.terms.values()] == [int]
 
