@@ -280,7 +280,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ExpansionError, UnsupportedAlgebraError, KeyError, ValueError,
             OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

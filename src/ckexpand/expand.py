@@ -23,11 +23,10 @@ assuming it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .groebner import (
     ParamPoly,
-    RelationIdeal,
     groebner_basis,
     ideal_equals,
     reduce_mod_ideal,
@@ -35,7 +34,6 @@ from .groebner import (
 from .liealg import (
     CATALOG,
     Decomposition,
-    FamilyMember,
     LieAlgebra,
     UnsupportedAlgebraError,
     _central_labels,
@@ -86,17 +84,18 @@ class InconsistentSystemError(ExpansionError):
     """A bracket demands a nonzero constant to vanish."""
 
 
-@dataclass
 class ExpansionProblem:
-    name: str
-    initial: LieAlgebra
-    target: LieAlgebra
-    axis: int
-    omega_symbol: str
-    omega_value: Scalar
-    relations: list
-    member: FamilyMember  # identify(initial), read once per problem
-    expected_failure: bool = False
+    def __init__(self, name, initial, target, axis, omega_symbol,
+                 omega_value, relations, member, expected_failure=False):
+        self.name = name
+        self.initial = initial
+        self.target = target
+        self.axis = axis
+        self.omega_symbol = omega_symbol
+        self.omega_value = omega_value
+        self.relations = relations
+        self.member = member  # identify(initial), read once per problem
+        self.expected_failure = expected_failure
 
 
 def make_problem(initial, axis: int, omega="sym", name=None,
@@ -166,8 +165,7 @@ def make_problem(initial, axis: int, omega="sym", name=None,
 # -- Casimir splitting ---------------------------------------------------------
 
 
-@dataclass
-class CasimirSplit:
+class CasimirSplit(NamedTuple):
     index: int
     base: UEAElement
     jpiece: UEAElement
@@ -227,13 +225,12 @@ def build_J(splits, alpha=UNKNOWNS) -> UEAElement:
 # -- centralizer decomposition -------------------------------------------------
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     k_labels: tuple
     t_labels: tuple
     k_closes: bool
     kt_in_t: bool
-    violations: list = field(default_factory=list)
+    violations: tuple = ()
     violations_central_only: bool = False
 
     @property
@@ -394,8 +391,7 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
     return ideal, per_pair, remainders, witnesses
 
 
-@dataclass
-class BracketVerdict:
+class BracketVerdict(NamedTuple):
     pair: str
     klass: str  # "kk", "kt" or "tt"
     mode: str  # "exact" or "reduced"
@@ -403,34 +399,39 @@ class BracketVerdict:
     residual: str = "0"
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     closes: bool
-    table: dict = field(default_factory=dict)
+    table: dict
     matches_cell: tuple = None
 
 
-@dataclass
 class ExpansionReport:
-    problem: ExpansionProblem
-    splits: tuple = None
-    J: UEAElement = None
-    decomposition: Decomposition = None
-    hypothesis: HypothesisReport = None
-    primed: dict = None
-    unchanged: tuple = ()
-    constraints: RelationIdeal = None
-    per_pair: dict = None
-    # central remainders and their witnesses (central_reduce triples) from
-    # derive_constraints; not written to JSON
-    remainders: dict = None
-    witnesses: dict = None
-    order_independent: bool = True
-    brackets: list = field(default_factory=list)
-    closure: ClosureReport = None
-    verdict: str = "fail"
-    degree_bound: int = 0
-    remarks: list = field(default_factory=list)
+    """What ``run_expansion`` found, filled in stage by stage."""
+
+    def __init__(self, problem, splits=None, J=None, decomposition=None,
+                 hypothesis=None, primed=None, unchanged=(), constraints=None,
+                 per_pair=None, remainders=None, witnesses=None,
+                 order_independent=True, brackets=(), closure=None,
+                 verdict="fail", degree_bound=0, remarks=()):
+        self.problem = problem
+        self.splits = splits
+        self.J = J
+        self.decomposition = decomposition
+        self.hypothesis = hypothesis
+        self.primed = primed
+        self.unchanged = unchanged
+        self.constraints = constraints
+        self.per_pair = per_pair
+        # central remainders and their witnesses (central_reduce triples)
+        # from derive_constraints; not written to JSON
+        self.remainders = remainders
+        self.witnesses = witnesses
+        self.order_independent = order_independent
+        self.brackets = list(brackets)
+        self.closure = closure
+        self.verdict = verdict
+        self.degree_bound = degree_bound
+        self.remarks = list(remarks)
 
     @property
     def ok(self) -> bool:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import (
     Poly, Scalar, _coeff, add_term, as_scalar, grlex_key, split_symbols,
@@ -253,13 +253,12 @@ def _spoly(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     ) - g.shift(tuple(l - a for l, a in zip(lcm, gk)), gc.inverse())
 
 
-@dataclass
-class RelationIdeal:
+class RelationIdeal(NamedTuple):
     """Generators plus the reduced Groebner basis they produce."""
 
     unknowns: tuple
-    generators: list = field(default_factory=list)
-    groebner: list = field(default_factory=list)
+    generators: tuple = ()
+    groebner: tuple = ()
 
     @property
     def is_trivial(self) -> bool:

@@ -15,7 +15,6 @@ PBW rewriting and the derivation rule read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -356,12 +355,11 @@ def identify(g: LieAlgebra) -> FamilyMember:
 # -- structure soundness -----------------------------------------------------
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     algebra: str
     antisymmetry_ok: bool
     triples_checked: int
-    jacobi_failures: list = field(default_factory=list)
+    jacobi_failures: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -396,23 +394,20 @@ def check_structure(g: LieAlgebra) -> StructureReport:
 # -- involutions and decompositions ------------------------------------------
 
 
-@dataclass(frozen=True)
 class Involution:
     """A sign map on generators squaring to the identity."""
 
-    name: str
-    signs: dict
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs.values()):
+    def __init__(self, name, signs):
+        if any(s not in (1, -1) for s in signs.values()):
             raise ValueError("involution signs must be +1 or -1")
+        self.name = name
+        self.signs = signs
 
     def sign(self, label: str) -> int:
         return self.signs[label]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Index split g = t + k with k the invariant subalgebra part."""
 
     k: tuple
@@ -436,8 +431,7 @@ def standard_involutions() -> dict:
     }
 
 
-@dataclass
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     involution: str
     is_automorphism: bool
     violations: list
@@ -469,8 +463,7 @@ def apply_involution(g: LieAlgebra, inv: Involution) -> InvolutionReport:
     )
 
 
-@dataclass
-class CartanReport:
+class CartanReport(NamedTuple):
     hh_ok: bool
     hp_ok: bool
     pp_ok: bool
@@ -562,8 +555,7 @@ def contract(g: LieAlgebra, kind: str) -> LieAlgebra:
 # -- the nine-cell catalog -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     signs: tuple
     algebra: str
     space: str

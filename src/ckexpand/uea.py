@@ -15,8 +15,9 @@ fixing an irreducible representation).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
 from .poly import (
@@ -225,6 +226,7 @@ def pbw_normalize(algebra: LieAlgebra, word, coeff=1) -> UEAElement:
     return UEAElement(algebra, result)
 
 
+@functools.lru_cache(maxsize=4096)
 def _word_of(exps):
     word = []
     for idx, e in enumerate(exps):
@@ -325,8 +327,7 @@ def is_central(x: UEAElement):
 # -- central relations and reduction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralRelation:
+class CentralRelation(NamedTuple):
     """A verified-central element identified with a scalar eigenvalue."""
 
     label: str

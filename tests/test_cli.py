@@ -12,7 +12,9 @@ from ckexpand.cli import main
 from ckexpand.expand import ATLAS
 from ckexpand.liealg import BUILTIN_NAMES, make_ck_algebra
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+REFERENCE_CLI = json.loads((ROOT / "ckbench" / "reference.json").read_text())["cli"]
 
 BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
 
@@ -21,6 +23,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cold_env():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def test_algebra_text(capsys):
@@ -118,6 +128,12 @@ def test_bad_input_exit_code_2(capsys):
     assert code == 2
 
 
+def test_unknown_algebra_message_is_unquoted(capsys):
+    code, out, err = run(capsys, "algebra", "nosuch")
+    assert code == 2
+    assert not out and err.startswith("error: unknown algebra 'nosuch'")
+
+
 def test_atlas_text_and_exit(capsys):
     code, out, _ = run(capsys, "atlas")
     assert code == 0
@@ -183,16 +199,36 @@ def test_seed_with_a_free_parameter_name_expands(capsys, tmp_path):
 def test_module_entry_point_matches_main(capsys):
     # what users run: a cold interpreter, the sources on the path
     argv = ["expand", "poincare", "--axis", "1", "--json"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "ckexpand.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=cold_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_cold_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and every
+    # @dataclass compiles its methods with exec on each cold start
+    probe = (
+        "import sys; before = set(sys.modules); import ckexpand.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=cold_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ckexpand.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE_CLI))
+def test_benchmark_command_stdout_matches_the_reference(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out == REFERENCE_CLI[command]
 
 
 @pytest.mark.parametrize("name", BUILTINS)

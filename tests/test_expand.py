@@ -13,6 +13,10 @@ from ckexpand.expand import (
     analyze_closure,
     build_J,
     CasimirSplit,
+    ClosureReport,
+    ExpansionProblem,
+    ExpansionReport,
+    HypothesisReport,
     derive_constraints,
     make_problem,
     run_atlas,
@@ -21,7 +25,9 @@ from ckexpand.expand import (
     _bracket_diff,
     _split_linear,
 )
-from ckexpand.groebner import ParamPoly, groebner_basis, ideal_equals
+from ckexpand.groebner import (
+    ParamPoly, RelationIdeal, groebner_basis, ideal_equals,
+)
 from ckexpand.liealg import (
     BUILTIN_NAMES,
     LieAlgebra,
@@ -84,6 +90,35 @@ def test_make_problem_invariants():
         make_problem("poincare", 2)  # w2 is already nonzero
     with pytest.raises(ExpansionError):
         make_problem("ext-galilei", 2)
+
+
+def test_expansion_problem_takes_positional_and_keyword_arguments():
+    p = make_problem("poincare", 1)
+    names = ("name", "initial", "target", "axis", "omega_symbol",
+             "omega_value", "relations", "member")
+    values = [getattr(p, name) for name in names]
+    positional = ExpansionProblem(*values, True)
+    keyword = ExpansionProblem(**dict(zip(names, values)))
+    for q in (positional, keyword):
+        assert [getattr(q, name) for name in names] == values
+    assert positional.expected_failure and not keyword.expected_failure
+    keyword.target = p.initial
+    assert keyword.target is p.initial
+
+
+def test_records_built_with_defaults_share_no_mutable_object():
+    # a list or dict default would be one object shared by every record
+    pairs = [
+        [HypothesisReport((), (), True, True) for _ in range(2)],
+        [ClosureReport(True, {}) for _ in range(2)],
+        [RelationIdeal(AB) for _ in range(2)],
+        [vars(ExpansionReport(None)) for _ in range(2)],
+    ]
+    immutable = (tuple, str, bool, int, type(None))
+    for a, b in pairs:
+        values = zip(a.values(), b.values()) if isinstance(a, dict) else zip(a, b)
+        for x, y in values:
+            assert x is not y or isinstance(x, immutable), (a, x)
 
 
 @pytest.mark.parametrize("sym", ["a1", "a2", "c1", "c2", "xi", "w1"])

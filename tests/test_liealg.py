@@ -10,6 +10,7 @@ from ckexpand.liealg import (
     CATALOG,
     ContractionError,
     Decomposition,
+    Involution,
     LieAlgebra,
     UnsupportedAlgebraError,
     apply_involution,
@@ -150,6 +151,20 @@ def test_p_decomposition_is_cartan():
 def test_cartan_check_rejects_non_partition():
     with pytest.raises(ValueError):
         cartan_check(SYMBOLIC, Decomposition(k=(0, 1), t=(1, 2, 3, 4, 5)))
+
+
+def test_involution_signs_must_be_plus_or_minus_one():
+    with pytest.raises(ValueError, match="signs must be"):
+        Involution("x", {"H": 2})
+
+
+def test_decompositions_and_catalog_entries_are_immutable():
+    for record, attr in (
+        (Decomposition(k=(0,), t=(1,)), "k"),
+        (catalog_lookup((0, -1)), "algebra"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
 
 
 # -- contractions ---------------------------------------------------------------

@@ -250,6 +250,12 @@ def test_explicit_bound_too_small_raises():
         central_reduce(x, relations, bound=1)
 
 
+def test_central_relations_are_immutable():
+    relation = standard_relations(SYMBOLIC)[0]
+    with pytest.raises(AttributeError):
+        relation.scalar = Scalar.symbol("c2")
+
+
 def test_relation_from_foreign_algebra_rejected():
     foreign = CentralRelation(
         "C1", casimir(builtin_algebra("poincare"), 1), Scalar.symbol("c1")
