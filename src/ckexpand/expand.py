@@ -38,6 +38,7 @@ from .liealg import (
     UnsupportedAlgebraError,
     _central_labels,
     builtin_algebra,
+    cartan_check,
     identify,
     make_ck_algebra,
     with_central_generator,
@@ -238,44 +239,28 @@ class HypothesisReport(NamedTuple):
         return self.k_closes and self.kt_in_t
 
 
-def centralizer_split(g: LieAlgebra, unchanged):
+def centralizer_split(g: LieAlgebra, unchanged) -> HypothesisReport:
     """Split generators into k (those commuting with J, given as the labels
     ``build_primed_generators`` left unchanged) and t; check the shortcut
-    hypotheses ([k,k] in k and [k,t] in t)."""
-    k_labels = set(unchanged)
-    k_idx = [i for i, label in enumerate(g.generators) if label in k_labels]
-    t_idx = [i for i, label in enumerate(g.generators) if label not in k_labels]
-    k_set = set(k_idx)
-    k_closes = all(
-        all(n in k_set for n in g.bracket(i, j))
-        for i, j in itertools.combinations(k_idx, 2)
+    hypotheses ([k,k] in k and [k,t] in t) with ``cartan_check``."""
+    k_idx = tuple(i for i, lab in enumerate(g.generators) if lab in unchanged)
+    t_idx = tuple(i for i in range(g.dim) if i not in k_idx)
+    cartan = cartan_check(g, Decomposition(k=k_idx, t=t_idx))
+    violations = tuple(
+        (x, y, bad) for kind, x, y, bad in cartan.violations if kind == "hp"
     )
     central = set(_central_labels(g))
-    violations = []
-    for i in k_idx:
-        for j in t_idx:
-            bad = [n for n in g.bracket(i, j) if n in k_set]
-            if bad:
-                violations.append(
-                    (
-                        g.generators[i],
-                        g.generators[j],
-                        tuple(g.generators[n] for n in bad),
-                    )
-                )
     central_only = bool(violations) and all(
         all(lab in central for lab in bad) for _, _, bad in violations
     )
-    decomp = Decomposition(k=tuple(k_idx), t=tuple(t_idx))
-    report = HypothesisReport(
+    return HypothesisReport(
         k_labels=tuple(g.generators[i] for i in k_idx),
         t_labels=tuple(g.generators[i] for i in t_idx),
-        k_closes=k_closes,
-        kt_in_t=not violations,
+        k_closes=cartan.hh_ok,
+        kt_in_t=cartan.hp_ok,
         violations=violations,
         violations_central_only=central_only,
     )
-    return decomp, report
 
 
 def build_primed_generators(g: LieAlgebra, J: UEAElement):
@@ -408,18 +393,16 @@ class ClosureReport(NamedTuple):
 class ExpansionReport:
     """What ``run_expansion`` found, filled in stage by stage."""
 
-    def __init__(self, problem, splits=None, J=None, decomposition=None,
-                 hypothesis=None, primed=None, unchanged=(), constraints=None,
-                 per_pair=None, remainders=None, witnesses=None,
+    def __init__(self, problem, splits=None, J=None, hypothesis=None,
+                 primed=None, constraints=None, per_pair=None,
+                 remainders=None, witnesses=None,
                  order_independent=True, brackets=(), closure=None,
                  verdict="fail", degree_bound=0, remarks=()):
         self.problem = problem
         self.splits = splits
         self.J = J
-        self.decomposition = decomposition
         self.hypothesis = hypothesis
         self.primed = primed
-        self.unchanged = unchanged
         self.constraints = constraints
         self.per_pair = per_pair
         # central remainders and their witnesses (central_reduce triples)
@@ -459,12 +442,11 @@ class ExpansionReport:
             }
         if self.J is not None:
             data["J"] = str(self.J)
-        if self.decomposition is not None:
-            data["decomposition"] = {
-                "k": [g.generators[i] for i in self.decomposition.k],
-                "t": [g.generators[i] for i in self.decomposition.t],
-            }
         if self.hypothesis is not None:
+            data["decomposition"] = {
+                "k": list(self.hypothesis.k_labels),
+                "t": list(self.hypothesis.t_labels),
+            }
             data["hypothesis"] = {
                 "k_closes": self.hypothesis.k_closes,
                 "kt_in_t": self.hypothesis.kt_in_t,
@@ -603,9 +585,7 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     g = problem.initial
     primed, unchanged = build_primed_generators(g, J)
     report.primed = primed
-    report.unchanged = unchanged
-    decomp, hyp = centralizer_split(g, unchanged)
-    report.decomposition = decomp
+    hyp = centralizer_split(g, unchanged)
     report.hypothesis = hyp
     if not hyp.holds and not hyp.violations_central_only:
         # the seed is too abelian for this axis: analyze what the primed

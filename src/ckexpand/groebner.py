@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import (
-    Poly, Scalar, _coeff, add_term, as_scalar, grlex_key, split_symbols,
+    Poly, Scalar, TermSum, _coeff, add_term, as_scalar, grlex_key,
+    split_symbols,
 )
 
 __all__ = [
@@ -31,10 +32,10 @@ __all__ = [
 MAX_UNKNOWNS = 3
 
 
-class ParamPoly:
+class ParamPoly(TermSum):
     """Polynomial in the unknowns with Scalar (parameter-field) coefficients."""
 
-    __slots__ = ("unknowns", "terms")
+    __slots__ = ("unknowns",)
 
     def __init__(self, unknowns, terms=None):
         self.unknowns = tuple(unknowns)
@@ -52,16 +53,20 @@ class ParamPoly:
             return value
         return cls.from_scalar(as_scalar(value), unknowns)
 
+    @property
+    def labels(self):
+        return self.unknowns
+
+    def _like(self, terms):
+        return ParamPoly(self.unknowns, terms)
+
+    def _check(self, other):
+        if self.unknowns != other.unknowns:
+            raise ValueError("unknown lists differ")
+
     # -- queries ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    total_degree = TermSum.degree
 
     def leading(self):
         key = max(self.terms, key=grlex_key)
@@ -72,31 +77,6 @@ class ParamPoly:
         return self.terms.get(zero, Scalar.zero())
 
     # -- arithmetic -------------------------------------------------------
-
-    def _combine(self, other, negate) -> "ParamPoly":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(terms, key, -coeff if negate else coeff)
-        return ParamPoly(self.unknowns, terms)
-
-    def __add__(self, other):
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        return self._combine(other, True)
-
-    def __neg__(self):
-        return ParamPoly(
-            self.unknowns, {k: -v for k, v in self.terms.items()}
-        )
-
-    def scale(self, coeff) -> "ParamPoly":
-        coeff = as_scalar(coeff)
-        if coeff.is_zero:
-            return ParamPoly(self.unknowns)
-        return ParamPoly(
-            self.unknowns, {k: v * coeff for k, v in self.terms.items()}
-        )
 
     def shift(self, exps, coeff) -> "ParamPoly":
         """Multiply by coeff * (unknown monomial with exponents exps)."""
@@ -117,15 +97,6 @@ class ParamPoly:
         _, lc = self.leading()
         return self if lc.is_one else self.scale(lc.inverse())
 
-    def __eq__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        if self.unknowns != other.unknowns:
-            return False
-        return (self - other).is_zero
-
-    __hash__ = None
-
     def proportional_to(self, other) -> bool:
         """True when self = u * other for a nonzero parameter Scalar u."""
         other = ParamPoly.coerce(other, self.unknowns)
@@ -143,15 +114,19 @@ class ParamPoly:
         Used for displaying raw constraint equations: clears parameter
         denominators, strips common rational and monomial content from
         the coefficient polynomials, and fixes the sign of the leading
-        coefficient.
+        coefficient.  Denominators are cleared one at a time, each by
+        scaling with a denominator the current result still has, so a
+        repeated one is cleared once.  A factor that two different
+        denominators share is still multiplied in twice: cancelling it
+        waits on a polynomial gcd (ROADMAP direction 4).
         """
         if self.is_zero:
             return self
         result = self
-        # clear parameter denominators
-        for coeff in list(result.terms.values()):
-            if not coeff.den.is_one:
-                result = result.scale(Scalar(coeff.den))
+        dens = [c.den for c in self.terms.values() if not c.den.is_one]
+        while dens:
+            result = result.scale(Scalar(dens[0]))
+            dens = [c.den for c in result.terms.values() if not c.den.is_one]
         polys = [c.num for c in result.terms.values()]
         # common rational content
         content = polys[0].content()
@@ -169,46 +144,24 @@ class ParamPoly:
         result = result.scale(divisor.inverse())
         _, lc = result.leading()
         if lc.num.leading()[1] < 0:
-            result = result.scale(Scalar.const(-1))
+            result = -result
         return result
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            mono = "*".join(
-                sym if e == 1 else f"{sym}^{e}"
-                for sym, e in zip(self.unknowns, exps)
-                if e
-            )
-            cstr = str(coeff)
-            negative = cstr.startswith("-")
-            if negative and " " not in cstr and "/" not in cstr:
-                cstr = cstr[1:]
-                sign = "-"
-            elif negative:
-                cstr = str(-coeff)
-                sign = "-"
-            else:
-                sign = "+"
-            if mono:
-                body = mono if cstr == "1" else f"{_wrap(cstr)}*{mono}"
-            else:
-                body = cstr
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+        for lead, cstr, mono in self._signed_terms("*"):
+            if mono and cstr == "1":
+                cstr = mono
+            elif mono:
+                wrap = " " in cstr or "/" in cstr
+                cstr = f"({cstr})*{mono}" if wrap else f"{cstr}*{mono}"
+            elif "-" in lead and " " in cstr:
+                cstr = f"({cstr})"  # a negated sum
+            parts.append(lead + cstr)
+        return "".join(parts) or "0"
 
     def __repr__(self):
         return f"ParamPoly({self})"
-
-
-def _wrap(text: str) -> str:
-    return f"({text})" if (" " in text or "/" in text) else text
 
 
 def _divides(a, b) -> bool:

@@ -15,6 +15,7 @@ PBW rewriting and the derivation rule read.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -60,10 +61,6 @@ class UnsupportedAlgebraError(ValueError):
 
 def _clean(combo):
     return {n: c for n, c in combo.items() if not c.is_zero}
-
-
-def _same_combo(a: dict, b: dict) -> bool:
-    return set(a) == set(b) and all(a[n] == b[n] for n in a)
 
 
 class LieAlgebra:
@@ -112,11 +109,9 @@ class LieAlgebra:
 
     def same_brackets(self, other: "LieAlgebra") -> bool:
         """Structural equality of bracket tables under the fixed order."""
-        if self.generators != other.generators:
-            return False
-        return all(
-            _same_combo(self.brackets.get(key, {}), other.brackets.get(key, {}))
-            for key in set(self.brackets) | set(other.brackets)
+        return (
+            self.generators == other.generators
+            and self.brackets == other.brackets
         )
 
     def combo_str(self, combo: dict) -> str:
@@ -341,7 +336,7 @@ def identify(g: LieAlgebra) -> FamilyMember:
     for key in sorted(set(g.brackets) | set(want)):
         got = g.brackets.get(key, {})
         expected = _clean(want.get(key, {}))
-        if not _same_combo(got, expected):
+        if got != expected:
             i, j = key
             values = f"w1 = {w1}, w2 = {w2}" + (f", m = {m}" if central else "")
             raise UnsupportedAlgebraError(
@@ -439,27 +434,20 @@ class InvolutionReport(NamedTuple):
 
 
 def apply_involution(g: LieAlgebra, inv: Involution) -> InvolutionReport:
-    """Check sigma([X,Y]) = [sigma(X), sigma(Y)] and split into eigenspaces."""
+    """Split g into the sign eigenspaces of inv; it is an automorphism
+    exactly when they pass ``cartan_check``."""
     missing = [lab for lab in g.generators if lab not in inv.signs]
     if missing:
         raise ValueError(f"involution {inv.name} misses generators {missing}")
-    violations = []
-    for (i, j), combo in g.brackets.items():
-        si = inv.sign(g.generators[i])
-        sj = inv.sign(g.generators[j])
-        for n, c in combo.items():
-            sn = inv.sign(g.generators[n])
-            if si * sj != sn and not c.is_zero:
-                violations.append(
-                    (g.generators[i], g.generators[j], g.generators[n], c)
-                )
     k = tuple(i for i, lab in enumerate(g.generators) if inv.sign(lab) == 1)
     t = tuple(i for i, lab in enumerate(g.generators) if inv.sign(lab) == -1)
+    decomposition = Decomposition(k=k, t=t)
+    cartan = cartan_check(g, decomposition)
     return InvolutionReport(
         involution=inv.name,
-        is_automorphism=not violations,
-        violations=violations,
-        decomposition=Decomposition(k=k, t=t),
+        is_automorphism=cartan.ok,
+        violations=cartan.violations,
+        decomposition=decomposition,
     )
 
 
@@ -476,30 +464,36 @@ class CartanReport(NamedTuple):
 
 
 def cartan_check(g: LieAlgebra, d: Decomposition) -> CartanReport:
-    """Verify [h,h] in h, [h,p] in p, [p,p] in h for h = k, p = t."""
+    """Verify [h,h] in h, [h,p] in p, [p,p] in h for h = k, p = t.
+
+    Each violation is (kind, X, Y, labels of the components outside the
+    allowed part).  The hh pairs come first, then the hp pairs with the h
+    generator first (h outer, p inner), then the pp pairs, each in index
+    order.
+    """
     h, p = set(d.k), set(d.t)
     if h | p != set(range(g.dim)) or h & p:
         raise ValueError("decomposition must partition the generators")
-    checks = {"hh": True, "hp": True, "pp": True}
+    hs, ps = sorted(h), sorted(p)
+    scans = (
+        ("hh", itertools.combinations(hs, 2), h),
+        ("hp", itertools.product(hs, ps), p),
+        ("pp", itertools.combinations(ps, 2), h),
+    )
+    checks = {}
     violations = []
     p_abelian = True
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            combo = g.bracket(i, j)
-            if i in h and j in h:
-                kind, allowed = "hh", h
-            elif i in p and j in p:
-                kind, allowed = "pp", h
-                if combo:
-                    p_abelian = False
-            else:
-                kind, allowed = "hp", p
-            bad = [n for n in combo if n not in allowed]
+    for kind, pairs, allowed in scans:
+        checks[kind] = True
+        for i, j in pairs:
+            combo = g.table[i][j]
+            if kind == "pp" and combo:
+                p_abelian = False
+            bad = tuple(g.generators[n] for n, _ in combo if n not in allowed)
             if bad:
                 checks[kind] = False
                 violations.append(
-                    (kind, g.generators[i], g.generators[j],
-                     tuple(g.generators[n] for n in bad))
+                    (kind, g.generators[i], g.generators[j], bad)
                 )
     return CartanReport(
         hh_ok=checks["hh"],

@@ -24,6 +24,9 @@ holds a zero coefficient, and ``add_term`` is the one place that keeps
 it so.  Exponent vectors are ordered by ``grlex_key``: total degree
 first, then lexicographically.  ``split_symbols`` is the one way to
 split a Scalar into such a dict of monomials over chosen symbols.
+``TermSum`` is the one arithmetic and sign-printing core of the two
+term-dict classes, enveloping-algebra elements and constraint
+polynomials.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "Poly",
     "Scalar",
     "ScalarDivisionError",
+    "TermSum",
     "add_term",
     "as_scalar",
     "exact_div",
@@ -518,6 +522,85 @@ def add_term(terms, key, coeff):
         terms.pop(key, None)
     else:
         terms[key] = coeff
+
+
+class TermSum:
+    """A sparse sum {exponent vector: Scalar} over named symbols.
+
+    A subclass names its symbols in ``labels`` and supplies ``_like(terms)``,
+    a sum over the same symbols, and ``_check(other)``, which raises when
+    ``other`` may not be combined with it.
+    """
+
+    __slots__ = ("terms",)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """The largest total degree of a term; -1 for zero."""
+        if not self.terms:
+            return -1
+        return max(sum(exps) for exps in self.terms)
+
+    def _sum(self, other, negate):
+        # one dict copy: a difference does not build -other first
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            add_term(terms, exps, -coeff if negate else coeff)
+        return self._like(terms)
+
+    def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
+
+    def scale(self, coeff):
+        coeff = as_scalar(coeff)
+        if coeff.is_zero:
+            return self._like({})
+        return self._like({e: c * coeff for e, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.labels == other.labels and self.terms == other.terms
+
+    __hash__ = None
+
+    def _signed_terms(self, sep):
+        """(lead, coefficient text, monomial text) from the leading term down.
+
+        lead is "" or "-" on the first term and " + " or " - " after it.  A
+        bare negative coefficient loses its "-"; any other negative one is
+        printed as str(-coeff).  Monomials join their factors with sep.
+        """
+        order = sorted(self.terms, key=grlex_key, reverse=True)
+        for n, exps in enumerate(order):
+            coeff = self.terms[exps]
+            cstr = str(coeff)
+            negative = cstr.startswith("-")
+            if negative:
+                bare = " " not in cstr and "/" not in cstr
+                cstr = cstr[1:] if bare else str(-coeff)
+            if n:
+                lead = " - " if negative else " + "
+            else:
+                lead = "-" if negative else ""
+            mono = sep.join(
+                lab if e == 1 else f"{lab}^{e}"
+                for lab, e in zip(self.labels, exps)
+                if e
+            )
+            yield lead, cstr, mono
 
 
 def split_symbols(value: Scalar, symbols) -> dict:

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
 from .poly import (
-    Scalar, add_term, as_scalar, grlex_key, parse_scalar, split_symbols,
+    Scalar, TermSum, add_term, as_scalar, grlex_key, parse_scalar,
+    split_symbols,
 )
 
 __all__ = [
@@ -50,10 +51,10 @@ class BoundExceededError(ValueError):
     """The requested cofactor degree bound is inconsistent with the input."""
 
 
-class UEAElement:
+class UEAElement(TermSum):
     """A normal-ordered element of the universal enveloping algebra."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: LieAlgebra, terms=None):
         self.algebra = algebra
@@ -85,16 +86,12 @@ class UEAElement:
             return cls(algebra)
         return cls(algebra, {tuple(exps): coeff})
 
-    # -- queries ------------------------------------------------------------
-
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def labels(self):
+        return self.algebra.generators
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
+    def _like(self, terms):
+        return UEAElement(self.algebra, terms)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -104,54 +101,15 @@ class UEAElement:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            add_term(terms, exps, coeff)
-        return UEAElement(self.algebra, terms)
-
-    def __neg__(self):
-        return UEAElement(
-            self.algebra, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "UEAElement":
-        coeff = as_scalar(coeff)
-        if coeff.is_zero:
-            return UEAElement(self.algebra)
-        return UEAElement(
-            self.algebra, {e: c * coeff for e, c in self.terms.items()}
-        )
-
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             return uea_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = TermSum.scale
 
     def commutator(self, other) -> "UEAElement":
         return uea_commutator(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        if self.algebra.generators != other.algebra.generators:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    __hash__ = None
 
     def substitute(self, mapping) -> "UEAElement":
         terms = {}
@@ -164,31 +122,12 @@ class UEAElement:
     # -- textual format ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            mono = " ".join(
-                lab if e == 1 else f"{lab}^{e}"
-                for lab, e in zip(self.algebra.generators, exps)
-                if e
-            ) or "1"
-            cstr = str(coeff)
-            if cstr.startswith("-") and " " not in cstr and "/" not in cstr:
-                sign, cstr = "-", cstr[1:]
-            elif cstr.startswith("-"):
-                sign, cstr = "-", str(-coeff)
-            else:
-                sign = "+"
+        for lead, cstr, mono in self._signed_terms(" "):
             if " " in cstr:
                 cstr = f"({cstr})"
-            body = f"{cstr} * {mono}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+            parts.append(f"{lead}{cstr} * {mono or '1'}")
+        return "".join(parts) or "0"
 
     def __repr__(self):
         return f"UEAElement({self.algebra.name}: {self})"

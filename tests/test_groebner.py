@@ -47,6 +47,18 @@ def test_normalized_clears_denominators_and_content():
     assert str(pp("-6*w1*a1 - 2*w1*a2").normalized()) == "3*a1 + a2"
 
 
+def test_normalized_clears_a_repeated_denominator_once():
+    assert str(pp("a1/(w1+1) + a2/(w1+1)").normalized()) == "a1 + a2"
+    shared = pp("a1/(w1+1) + a2/(w1+1) + 1/(w1+1)")
+    assert str(shared.normalized()) == "a1 + a2 + 1"
+
+
+def test_a_negated_constant_sum_keeps_its_parentheses():
+    assert str(pp("a1^2 - w1 - 1")) == "a1^2 - (w1 + 1)"
+    assert str(pp("-w1 - 1")) == "-(w1 + 1)"
+    assert str(pp("a1 - 1/3*w1")) == "a1 - 1/3*w1"
+
+
 def test_principal_ideal():
     ideal = groebner_basis([pp("4*w2*c1*a1^2 + w1")], AB)
     assert len(ideal.groebner) == 1

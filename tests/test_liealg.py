@@ -148,6 +148,29 @@ def test_p_decomposition_is_cartan():
     assert cartan_check(SYMBOLIC, report.decomposition).ok
 
 
+def test_a_sign_map_that_is_no_automorphism_fails_the_grading_scan():
+    # flipping P1 alone: [H,P1] = w1*K1 lands in k where t is required
+    signs = {label: 1 for label in SYMBOLIC.generators}
+    signs["P1"] = -1
+    report = apply_involution(SYMBOLIC, Involution("P1 only", signs))
+    assert not report.is_automorphism
+    assert ("hp", "H", "P1", ("K1",)) in report.violations
+    cartan = cartan_check(SYMBOLIC, report.decomposition)
+    assert (report.is_automorphism, report.violations) == (
+        cartan.ok, cartan.violations
+    )
+    # hh pairs, then hp pairs with the k generator first, each in index order
+    assert cartan.violations == [
+        ("hh", "H", "K1", ("P1",)),
+        ("hh", "P2", "J", ("P1",)),
+        ("hp", "H", "P1", ("K1",)),
+        ("hp", "P2", "P1", ("J",)),
+        ("hp", "K1", "P1", ("H",)),
+        ("hp", "J", "P1", ("P2",)),
+    ]
+    assert (cartan.hh_ok, cartan.hp_ok, cartan.pp_ok) == (False, False, True)
+
+
 def test_cartan_check_rejects_non_partition():
     with pytest.raises(ValueError):
         cartan_check(SYMBOLIC, Decomposition(k=(0, 1), t=(1, 2, 3, 4, 5)))

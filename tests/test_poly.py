@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import to_sympy
 
-from ckexpand.liealg import _scalar_sign
+from ckexpand.groebner import ParamPoly
+from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
     Poly,
     Scalar,
@@ -20,6 +21,7 @@ from ckexpand.poly import (
     parse_scalar,
     split_symbols,
 )
+from ckexpand.uea import UEAElement, parse_element
 
 SYMBOLS = ("x", "y", "z")
 
@@ -371,3 +373,71 @@ def test_coercion():
     assert as_scalar(Fraction(3, 4)) == parse_scalar("3/4")
     assert as_scalar("w1") == Scalar.symbol("w1")
     assert as_scalar(7) == Scalar(Poly.const(7))
+
+
+# -- the TermSum core of enveloping-algebra elements and constraint polynomials
+
+TERM_ALGEBRA = make_ck_algebra("w1", "w2")
+UNKNOWNS = ("a1", "a2")
+
+# every branch of the sign rule: positive, bare negative (its "-" is
+# stripped) and any other negative (printed as the negation)
+term_coeffs = st.one_of(
+    constants.map(Scalar.const),
+    st.sampled_from([
+        "w1", "-w1", "-w1^2*w2", "2*w1 - 1", "-w1 - 1", "-w1 + w2",
+        "1 - w1*w2",
+        "(w1 + 1)/(w2)", "-3/(w1 - w2)", "(-w1 + 2)/(w1^2 + w2)",
+    ]).map(parse_scalar),
+)
+
+
+@st.composite
+def term_sums(draw, kind):
+    if kind == "uea":
+        size, make = TERM_ALGEBRA.dim, lambda t: UEAElement(TERM_ALGEBRA, t)
+    else:
+        size, make = len(UNKNOWNS), lambda t: ParamPoly(UNKNOWNS, t)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        # zero exponents are likelier, so constant terms come up often
+        exps = tuple(draw(st.lists(st.sampled_from((0, 0, 1, 2)),
+                                   min_size=size, max_size=size)))
+        add_term(terms, exps, draw(term_coeffs))
+    return make(terms)
+
+
+def _reparse(x):
+    if isinstance(x, UEAElement):
+        return parse_element(x.algebra, str(x))
+    return ParamPoly.from_scalar(parse_scalar(str(x)), x.unknowns)
+
+
+@pytest.mark.parametrize("kind", ["uea", "param"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_term_sum_arithmetic_and_printing(kind, data):
+    a = data.draw(term_sums(kind))
+    b = data.draw(term_sums(kind))
+    c = data.draw(term_coeffs)
+    assert (a + b) - b == a
+    assert (a - a).is_zero
+    assert -(-a) == a
+    assert a.scale(c).scale(1 / c) == a
+    assert _reparse(a) == a
+
+
+def test_param_polys_over_different_unknowns_do_not_mix():
+    p = ParamPoly.from_scalar(parse_scalar("a1 + w1"), UNKNOWNS)
+    q = ParamPoly.from_scalar(parse_scalar("a1 + w1"), ("a1",))
+    with pytest.raises(ValueError, match="unknown lists differ"):
+        p + q
+    with pytest.raises(ValueError, match="unknown lists differ"):
+        p - q
+
+
+@pytest.mark.parametrize("cls", [UEAElement, ParamPoly])
+def test_term_sum_arithmetic_is_not_redefined(cls):
+    # both classes take their arithmetic from TermSum alone
+    shared = ("__add__", "__sub__", "__neg__", "scale", "__eq__")
+    assert not [name for name in shared if name in vars(cls)]

@@ -303,18 +303,18 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
 
 def test_products_accumulate_in_one_dict_not_by_element_sums(monkeypatch):
     # a product adds each normal-ordered piece into a single term dict;
-    # summing whole elements would copy the running total once per piece
+    # summing whole elements (by + or -) would copy the running total once
+    # per piece
     g = builtin_algebra("poincare")
     c2 = casimir(g, 2)
     relations = standard_relations(g)
     calls = []
-    add = UEAElement.__add__
+    for name in ("__add__", "__sub__"):
+        def counted(a, b, op=getattr(UEAElement, name)):
+            calls.append(1)
+            return op(a, b)
 
-    def counted_add(a, b):
-        calls.append(1)
-        return add(a, b)
-
-    monkeypatch.setattr(UEAElement, "__add__", counted_add)
+        monkeypatch.setattr(UEAElement, name, counted)
     assert not uea_mul(c2, c2).is_zero
     assert len(calls) == 0
     CentralReducer(g, relations, 3)
