@@ -117,8 +117,9 @@ class ParamPoly(TermSum):
         coefficient.  Denominators are cleared one at a time, each by
         scaling with a denominator the current result still has, so a
         repeated one is cleared once.  A factor that two different
-        denominators share is still multiplied in twice: cancelling it
-        waits on a polynomial gcd (ROADMAP direction 4).
+        denominators share stays behind as a common factor of the
+        coefficients: removing it waits on a polynomial gcd (ROADMAP
+        direction 4).
         """
         if self.is_zero:
             return self

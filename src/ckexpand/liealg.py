@@ -16,7 +16,6 @@ PBW rewriting and the derivation rule read.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import (
@@ -594,13 +593,10 @@ EXTENDED_GALILEI_ENTRY = CatalogEntry(
 
 
 def _scalar_sign(value: Scalar):
-    if value.is_zero:
-        return 0
-    num = value.num.as_fraction()
-    den = value.den.as_fraction()
-    if num is None or den is None:
+    q = value.value
+    if q is None:
         return None
-    return 1 if Fraction(num, den) > 0 else -1
+    return (q > 0) - (q < 0)
 
 
 def _ck_display_name(w1: Scalar, w2: Scalar) -> str:

@@ -14,7 +14,12 @@ Polynomial values are immutable after construction and canonical, so
 equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
-other; canonical equality is defined by cross-multiplication.
+other: there is no polynomial gcd, so the form is not canonical and
+equality is defined by cross-multiplication.  To keep shared factors from
+swelling, a sum goes over the larger denominator when one divides the
+other, and a product first cancels each numerator against the other
+denominator where one divides the other.  A constant carries its rational
+``value``, so constant arithmetic skips the polynomials.
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, gt, sub
 
 from .kernel import terms_add, terms_mul, terms_neg, terms_scale
 
@@ -62,6 +68,17 @@ def _dense(mono, frame_index):
     return tuple(vec)
 
 
+def _graded(mono, index):
+    """mono as (total degree, exponents in the frame of index), with index
+    counting from 1: such keys compare in graded-lex order and add under
+    multiplication."""
+    key = [0] * (len(index) + 1)
+    for sym, exp in mono:
+        key[index[sym]] = exp
+        key[0] += exp
+    return tuple(key)
+
+
 def grlex_key(exps):
     """Graded-lex sort key of an exponent vector: total degree, then lex."""
     return (sum(exps), exps)
@@ -71,9 +88,12 @@ def _coeff(q):
     """q as an exact coefficient: an int when integral, else a Fraction."""
     if type(q) is int:
         return q
-    if isinstance(q, float):
-        raise TypeError(f"inexact coefficient {q!r}: use an int or a Fraction")
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        if isinstance(q, float):
+            raise TypeError(
+                f"inexact coefficient {q!r}: use an int or a Fraction"
+            )
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -115,14 +135,6 @@ class Poly:
             for s, _ in mono:
                 seen.add(s)
         return tuple(sorted(seen))
-
-    def as_fraction(self):
-        """The constant value if this polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
 
     def content(self):
         """Positive rational content (gcd of all coefficients)."""
@@ -275,61 +287,127 @@ ZERO = Poly()
 ONE = Poly.const(1)
 
 
-def exact_div(a: Poly, b: Poly):
-    """Exact quotient a/b as a Poly, or None when b does not divide a."""
-    if b.is_zero:
-        raise ScalarDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ZERO
-    frame = tuple(sorted(set(a.variables()) | set(b.variables())))
-    idx = {s: i for i, s in enumerate(frame)}
-    bm, bc = b.leading()
-    bvec = _dense(bm, idx)
-    rem = dict(a.terms)
-    quot = {}
-    while rem:
-        mono = max(rem, key=lambda m: grlex_key(_dense(m, idx)))
-        mvec = _dense(mono, idx)
-        qvec = [me - be for me, be in zip(mvec, bvec)]
-        if any(e < 0 for e in qvec):
-            return None
-        qmono = tuple(
-            (frame[i], e) for i, e in enumerate(qvec) if e
-        )
-        qcoeff = _coeff(Fraction(rem[mono], bc))
-        quot[qmono] = qcoeff
-        rem = terms_add(rem, terms_neg(terms_mul(b.terms, {qmono: qcoeff})))
-    return Poly(quot)
-
-
 def _mono_div(mono, content):
     if not content:
         return mono
-    sub = dict(content)
+    cut = dict(content)
     out = []
     for s, e in mono:
-        e -= sub.get(s, 0)
+        e -= cut.get(s, 0)
         if e:
             out.append((s, e))
     return tuple(out)
 
 
-class Scalar:
-    """A fraction of two polynomials; the universal coefficient domain."""
+def exact_div(a: Poly, b: Poly):
+    """Exact quotient a/b as a Poly, or None when b does not divide a.
 
-    __slots__ = ("num", "den")
+    The lowest and the highest exponent of each symbol, and the lowest and
+    the highest total degree, add under multiplication, so a divisor whose
+    ranges do not fit inside a's is refused before any division.  The long
+    division runs on ``_graded`` keys in one frame, and each quotient term
+    must stay inside the ranges left for the quotient.
+    """
+    if b.is_zero:
+        raise ScalarDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return ZERO
+    bt = b.terms
+    if len(bt) == 1:
+        ((bm, bc),) = bt.items()
+        for m in a.terms:
+            here = dict(m)
+            if any(here.get(s, 0) < e for s, e in bm):
+                return None
+        quot = Poly({_mono_div(m, bm): c for m, c in a.terms.items()})
+        return quot if bc == 1 else quot.scale(Fraction(1) / bc)
+    if len(a.terms) == 1:
+        return None  # the divisors of a monomial are monomials
+    frame = a.variables()
+    index = {s: i for i, s in enumerate(frame, 1)}
+    try:
+        bkeys = [_graded(m, index) for m in bt]
+    except KeyError:
+        return None  # b has a symbol that a lacks
+    akeys = [_graded(m, index) for m in a.terms]
+    lo = list(map(sub, map(min, zip(*akeys)), map(min, zip(*bkeys))))
+    hi = list(map(sub, map(max, zip(*akeys)), map(max, zip(*bkeys))))
+    if min(lo) < 0 or any(map(gt, lo, hi)):
+        return None
+    rem = dict(zip(akeys, a.terms.values()))
+    divisor = sorted(zip(bkeys, bt.values()), reverse=True)
+    bkey, bc = divisor[0]
+    tail = divisor[1:]
+    exact = type(bc) is int
+    quot = {}
+    while rem:
+        key = max(rem)
+        c = rem.pop(key)
+        qkey = tuple(map(sub, key, bkey))
+        if any(map(gt, lo, qkey)) or any(map(gt, qkey, hi)):
+            return None
+        if exact and type(c) is int and not c % bc:
+            qc = c // bc
+        else:
+            qc = _coeff(Fraction(c) / bc)
+        quot[tuple([(s, e) for s, e in zip(frame, qkey[1:]) if e])] = qc
+        for tkey, tc in tail:
+            k = tuple(map(add, tkey, qkey))
+            x = rem.get(k, 0) - qc * tc
+            if x:
+                rem[k] = x
+            else:
+                rem.pop(k, None)
+    return Poly(quot)
+
+
+def _cancel(num: Poly, den: Poly):
+    """(num, den) with whichever side exactly divides the other divided out."""
+    q = exact_div(num, den)
+    if q is not None:
+        return q, ONE
+    q = exact_div(den, num)
+    if q is not None:
+        return ONE, q
+    return num, den
+
+
+def _value(terms):
+    """The rational value of a constant polynomial's terms, else None."""
+    if len(terms) == 1:
+        return terms.get(())
+    return None if terms else 0
+
+
+def _constant(q) -> "Scalar":
+    """The Scalar of the int or Fraction q, built without normalising."""
+    out = Scalar.__new__(Scalar)
+    if type(q) is not int:
+        q = _coeff(q)
+    out.num = Poly({(): q}) if q else ZERO
+    out.den = ONE
+    out.value = q
+    return out
+
+
+class Scalar:
+    """A fraction of two polynomials; the universal coefficient domain.
+
+    ``value`` is the rational value (int or Fraction) of a constant, else
+    None, so constant arithmetic never reaches the polynomials.
+    """
+
+    __slots__ = ("num", "den", "value")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero:
             raise ScalarDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = ZERO
-            self.den = ONE
-            return
-        if den.is_one:
+        terms = num.terms
+        if not terms or den.is_one:
             # a polynomial is already normalized
             self.num = num
             self.den = ONE
+            self.value = _value(terms)
             return
         # cancel common monomial content
         nc = dict(num.mono_content())
@@ -347,36 +425,34 @@ class Scalar:
             den = Poly(
                 {_mono_div(m, common): c for m, c in den.terms.items()}
             )
-        # full cancellation when one side exactly divides the other
         if not den.is_one:
-            q = exact_div(num, den)
-            if q is not None:
-                num, den = q, ONE
-            else:
-                q = exact_div(den, num)
-                if q is not None:
-                    num, den = ONE, q
+            num, den = _cancel(num, den)
+        self._settle(num, den)
+
+    def _settle(self, num: Poly, den: Poly):
         # denominator content 1 with positive leading coefficient
-        c = den.content()
-        if den.leading()[1] < 0:
-            c = -c
-        if c != 1:
-            num = num.scale(Fraction(1) / c)
-            den = den.scale(Fraction(1) / c)
+        if not den.is_one:
+            c = den.content()
+            if den.leading()[1] < 0:
+                c = -c
+            if c != 1:
+                num = num.scale(Fraction(1) / c)
+                den = den.scale(Fraction(1) / c)
         self.num = num
         self.den = den
+        self.value = _value(num.terms) if den.is_one else None
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls(ZERO)
+        return _constant(0)
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(ONE)
+        return _constant(1)
 
     @classmethod
     def const(cls, value) -> "Scalar":
-        return cls(Poly.const(value))
+        return _constant(value)
 
     @classmethod
     def symbol(cls, name: str) -> "Scalar":
@@ -384,50 +460,50 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self.value == 0
 
     @property
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self.value == 1
 
-    def __add__(self, other):
+    def _sum(self, other, negate):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        p, q = self.value, other.value
+        if p is not None and q is not None:
+            return _constant(p - q if negate else p + q)
+        a, b = self.num, -other.num if negate else other.num
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return Scalar(a + b, ad)
+        # over the larger denominator when one divides the other
+        q = exact_div(bd, ad)
+        if q is not None:
+            return Scalar(a * q + b, bd)
+        q = exact_div(ad, bd)
+        if q is not None:
+            return Scalar(a + b * q, ad)
+        return Scalar(a * bd + b * ad, ad * bd)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def __rsub__(self, other):
+        return -(self - other)
 
     def __neg__(self):
         # negation keeps a normalized (num, den) normalized
         out = Scalar.__new__(Scalar)
         out.num = -self.num
         out.den = self.den
+        out.value = None if self.value is None else -self.value
         return out
-
-    def __sub__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return Scalar(self.num - other.num, self.den)
-        return Scalar(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def _constant(self):
-        """The rational value of a nonzero constant, else None."""
-        terms = self.num.terms
-        if len(terms) == 1 and () in terms and self.den.is_one:
-            return terms[()]
-        return None
 
     def _scaled(self, q):
         # a nonzero constant changes neither the monomial content nor
@@ -438,24 +514,32 @@ class Scalar:
             return self
         if q == -1:
             return -self
+        if not q:
+            return _constant(0)
         out = Scalar.__new__(Scalar)
         out.num = Poly(terms_scale(self.num.terms, q))
         out.den = self.den
+        out.value = None
         return out
 
     def __mul__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        q = other._constant()
+        p, q = self.value, other.value
         if q is not None:
-            return self._scaled(q)
-        q = self._constant()
-        if q is not None:
-            return other._scaled(q)
-        if self.den.is_one and other.den.is_one:
-            return Scalar(self.num * other.num)
-        return Scalar(self.num * other.num, self.den * other.den)
+            return self._scaled(q) if p is None else _constant(p * q)
+        if p is not None:
+            return other._scaled(p)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # cancel each numerator against the other side's denominator first
+        if not d.is_one:
+            a, d = _cancel(a, d)
+        if not b.is_one:
+            c, b = _cancel(c, b)
+        if b.is_one and d.is_one:
+            return Scalar(a * c)
+        return Scalar(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -463,25 +547,26 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ScalarDivisionError("division by zero scalar")
-        q = other._constant()
-        if q is not None:
-            return self._scaled(Fraction(1, q))
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return as_scalar(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return Scalar.one() / (self ** (-n))
+            return (self ** (-n)).inverse()
         return Scalar(self.num**n, self.den**n)
 
     def inverse(self) -> "Scalar":
+        """1/self: the normalized pair swapped, with content and sign fixed."""
         if self.is_zero:
-            raise ScalarDivisionError("inverse of zero")
-        return Scalar(self.den, self.num)
+            raise ScalarDivisionError("division by zero")
+        if self.value is not None:
+            q = self.value
+            return _constant(Fraction(q.denominator, q.numerator))
+        out = Scalar.__new__(Scalar)
+        out._settle(self.den, self.num)
+        return out
 
     def __eq__(self, other):
         other = as_scalar(other)

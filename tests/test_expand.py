@@ -283,6 +283,16 @@ def test_axis1_constraint_is_the_principal_ideal():
         assert eqs[0].proportional_to(expected)
 
 
+def test_a_shared_denominator_factor_is_cancelled_in_each_equation():
+    # w2 = 1/(q+1): the [P1,P2] equation used to carry an extra (q+1)
+    report = run_expansion(make_problem(make_ck_algebra(0, "1/(q+1)"), 1))
+    assert report.verdict == "pass"
+    (hp,) = report.per_pair["[H,P1]"]
+    assert report.per_pair["[P1,P2]"] == [hp]
+    assert str(report.per_pair["[P1,P2]"][0]) == str(hp)
+    assert str(hp) == "4*c1*a1^2 + q*w1 + w1"
+
+
 def test_nh_constraints_are_the_two_quadratics():
     report = run_expansion(nh_problem())
     assert report.verdict == "pass"

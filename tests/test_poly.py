@@ -163,6 +163,99 @@ def test_constant_factors_never_reach_the_polynomial_product():
         assert got.den is s.den
 
 
+def test_constant_arithmetic_never_reaches_the_polynomials():
+    import ckexpand.poly
+
+    def refused(*args):
+        raise AssertionError("polynomial arithmetic on constants")
+
+    half, three = parse_scalar("1/2"), Scalar.const(3)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("terms_add", "terms_mul", "exact_div"):
+            mp.setattr(ckexpand.poly, name, refused)
+        results = [half + three, half - three, half * three, three / half,
+                   half + half, half - half]
+        zero = (half - half).is_zero
+    assert [r.value for r in results] == [
+        Fraction(7, 2), Fraction(-5, 2), Fraction(3, 2), 6, 1, 0
+    ]
+    assert type(results[4].value) is int and results[4].num.terms == {(): 1}
+    assert zero and results[5].num.is_zero and results[5].den.is_one
+    assert parse_scalar("x").value is None
+    assert parse_scalar("x/x").value == 1
+
+
+# -- the cancelling sum and product rules, checked against sympy --------------
+
+
+def test_a_sum_goes_over_the_denominator_that_the_other_divides():
+    x, y = Poly.symbol("x"), Poly.symbol("y")
+    b, q = x + Poly.const(1), y + Poly.const(2)
+    total = Scalar(Poly.const(1), b) + Scalar(Poly.const(1), b * q)
+    assert total.den.terms == (b * q).terms
+    assert total == Scalar(y + Poly.const(3), b * q)
+
+
+# sympy's cancel on these sums and products is slow: fewer examples
+@settings(deadline=None, max_examples=30)
+@given(polys, nonzero_polys, polys, nonzero_polys)
+def test_sum_over_a_dividing_denominator_matches_sympy(a, b, c, q):
+    sympy = pytest.importorskip("sympy")
+    x, y = Scalar(a, b), Scalar(c, b * q)
+    total = x + y
+    assert sympy.cancel(to_sympy(total) - to_sympy(x) - to_sympy(y)) == 0
+    if exact_div(y.den, x.den) is not None:
+        # over y's denominator b*q, not the cross product b^2*q
+        assert exact_div(y.den, total.den) is not None
+
+
+@settings(deadline=None, max_examples=30)
+@given(polys, nonzero_polys, polys, nonzero_polys)
+def test_product_cancels_a_numerator_by_a_dividing_denominator(e, b, c, d):
+    sympy = pytest.importorskip("sympy")
+    x, y = Scalar(d * e, b), Scalar(c, d)
+    product = x * y
+    assert sympy.cancel(to_sympy(product) - to_sympy(x) * to_sympy(y)) == 0
+    if exact_div(x.num, y.den) is not None:
+        # d cancels, so the denominator is b's or a divisor of it
+        assert exact_div(x.den, product.den) is not None
+
+
+@settings(deadline=None, max_examples=50)
+@given(polys, nonzero_polys, polys, st.sampled_from(["any", "exact", "near"]))
+def test_exact_division_refuses_exactly_what_sympy_leaves_a_remainder_of(
+    a, b, r, kind
+):
+    sympy = pytest.importorskip("sympy")
+    num = {"any": a, "exact": a * b, "near": a * b + r}[kind]
+    got = exact_div(num, b)
+    gens = [sympy.Symbol(sym) for sym in SYMBOLS]
+    quotient, remainder = sympy.div(
+        to_sympy(Scalar(num)), to_sympy(Scalar(b)), *gens, domain="QQ"
+    )
+    assert (got is None) == (remainder != 0)
+    if got is not None:
+        assert sympy.expand(to_sympy(Scalar(got)) - quotient) == 0
+
+
+@given(scalars.filter(lambda s: not s.is_zero))
+def test_inverse_swaps_the_pair_without_dividing(s):
+    import ckexpand.poly
+
+    calls = []
+    div = ckexpand.poly.exact_div
+
+    def counted_div(a, b):
+        calls.append(1)
+        return div(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckexpand.poly, "exact_div", counted_div)
+        inverse = s.inverse()
+    assert _shape(inverse) == _shape(Scalar(s.den, s.num))
+    assert len(calls) == 0
+
+
 @given(polys, polys)
 def test_polynomial_scalars_stay_polynomial(a, b):
     assert (Scalar(a) + Scalar(b)).den.is_one
