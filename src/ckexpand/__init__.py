@@ -36,7 +36,6 @@ from .liealg import (
     with_central_generator,
 )
 from .uea import (
-    BoundExceededError,
     CentralReducer,
     CentralRelation,
     MixedAlgebraError,

@@ -40,6 +40,7 @@ from .uea import casimir, is_central
 __all__ = ["main"]
 
 _BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
+_BOUND_HELP = "a value >= 0 to record; the reduction is exact at any value"
 
 
 def _load_algebra(name: str) -> LieAlgebra:
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="sym",
         help="target coefficient: 'sym', an integer or a rational (default sym)",
     )
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
     p.add_argument(
         "--expect-failure",
         action="store_true",
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("atlas", help="run every expansion arrow")
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_atlas)
 

@@ -317,7 +317,7 @@ def _remainder_equations(remainder: UEAElement, pair: str):
 
 
 def default_degree_bound(problem: ExpansionProblem) -> int:
-    """Cofactor bound covering commutators of degree-2 primed generators."""
+    """The bound a report records when none is given; no reduction reads it."""
     min_deg = min(rel.element.degree() for rel in problem.relations)
     return max(0, 3 - min_deg)
 
@@ -337,11 +337,12 @@ def _constraint_ideal(eq_lists):
     return ideal
 
 
-def _pair_remainders(problem: ExpansionProblem, primed, reducer):
+def _pair_remainders(problem: ExpansionProblem, primed):
     """The central remainder and reduction witness of every pair's bracket
     difference, as two dicts keyed by index pair; None when the bracket
     holds exactly."""
     g = problem.initial
+    reducer = CentralReducer(g, problem.relations)
     remainders, witnesses = {}, {}
     for i, j in itertools.combinations(range(g.dim), 2):
         diff = _bracket_diff(problem, primed, i, j)
@@ -351,7 +352,7 @@ def _pair_remainders(problem: ExpansionProblem, primed, reducer):
     return remainders, witnesses
 
 
-def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
+def derive_constraints(problem: ExpansionProblem, primed):
     """Collect the polynomial equations in (a1, a2) forced by the target
     brackets, reduced modulo the Casimir eigenvalue relations.
 
@@ -361,11 +362,7 @@ def derive_constraints(problem: ExpansionProblem, primed, reducer=None):
     ``verify_expansion`` reads the remainders.
     """
     g = problem.initial
-    if reducer is None:
-        reducer = CentralReducer(
-            g, problem.relations, default_degree_bound(problem)
-        )
-    remainders, witnesses = _pair_remainders(problem, primed, reducer)
+    remainders, witnesses = _pair_remainders(problem, primed)
     per_pair = {}
     for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
@@ -493,18 +490,18 @@ class ExpansionReport:
         return data
 
 
-def verify_expansion(problem, unchanged, constraints, remainders,
-                     hypothesis=None):
+def verify_expansion(problem, hypothesis, constraints, remainders):
     """Check every bracket of the target against the primed generators.
 
-    ``remainders`` are the central remainders from ``derive_constraints``.
-    A bracket passes either exactly in the enveloping algebra or after
-    central reduction followed by reduction of every coefficient modulo
-    the constraint ideal.  When the shortcut hypotheses hold, the k'k'
-    and k't' classes must pass exactly.
+    ``remainders`` are the central remainders from ``derive_constraints``;
+    pairs are classed kk, kt or tt by ``hypothesis.k_labels``.  A bracket
+    passes either exactly in the enveloping algebra or after central
+    reduction followed by reduction of every coefficient modulo the
+    constraint ideal.  When the shortcut hypotheses hold, the k'k' and
+    k't' classes must pass exactly.
     """
     g = problem.initial
-    k_set = set(unchanged)
+    k_set = set(hypothesis.k_labels)
     verdicts = []
     all_ok = True
     for (i, j), remainder in remainders.items():
@@ -522,7 +519,7 @@ def verify_expansion(problem, unchanged, constraints, remainders,
             if not nf.is_zero:
                 residuals.append(str(nf))
         ok = not residuals
-        if hypothesis is not None and hypothesis.holds and klass != "tt":
+        if hypothesis.holds and klass != "tt":
             # shortcut classes must hold with no ideal help
             ok = False
             residuals.append("expected exact equality for class " + klass)
@@ -600,12 +597,10 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
             "centralizer shortcut hypotheses fail: [k,t] leaks into k"
         )
         return report
-    bound = degree_bound if degree_bound is not None else default_degree_bound(problem)
-    report.degree_bound = bound
-    reducer = CentralReducer(g, problem.relations, bound)
-    ideal, per_pair, remainders, witnesses = derive_constraints(
-        problem, primed, reducer
+    report.degree_bound = (
+        default_degree_bound(problem) if degree_bound is None else degree_bound
     )
+    ideal, per_pair, remainders, witnesses = derive_constraints(problem, primed)
     report.constraints = ideal
     report.per_pair = per_pair
     report.remainders = remainders
@@ -614,9 +609,7 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     # generate the same ideal
     ideal_rev = _constraint_ideal(reversed(list(per_pair.values())))
     report.order_independent = ideal_equals(ideal, ideal_rev)
-    verdicts, all_ok = verify_expansion(
-        problem, unchanged, ideal, remainders, hyp
-    )
+    verdicts, all_ok = verify_expansion(problem, hyp, ideal, remainders)
     report.brackets = verdicts
     report.verdict = "pass" if all_ok and report.order_independent else "fail"
     if problem.axis == 1:
@@ -653,11 +646,7 @@ def verify_with_values(report: ExpansionReport, values: dict):
     remainders = report.remainders
     if remainders is None:
         # a closure-path report derived no constraints
-        reducer = CentralReducer(
-            g, problem.relations,
-            report.degree_bound or default_degree_bound(problem),
-        )
-        remainders = _pair_remainders(problem, report.primed, reducer)[0]
+        remainders = _pair_remainders(problem, report.primed)[0]
     mapping = {k: as_scalar(v) for k, v in values.items()}
     outcomes = []
     for (i, j), remainder in remainders.items():

@@ -10,7 +10,7 @@ Commutators follow the derivation rule instead of forming ab - ba.
 Also provides the quadratic Casimir elements of the kinematical family,
 centrality testing, and exact reduction modulo relations that equate a
 central element with a scalar eigenvalue (the algebraic stand-in for
-fixing an irreducible representation).
+fixing an irreducible representation), at any degree with no bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "CentralReducer",
     "MixedAlgebraError",
     "UnsupportedAlgebraError",
-    "BoundExceededError",
     "pbw_normalize",
     "uea_mul",
     "uea_commutator",
@@ -45,10 +44,6 @@ __all__ = [
 
 class MixedAlgebraError(ValueError):
     """Operands belong to different algebras."""
-
-
-class BoundExceededError(ValueError):
-    """The requested cofactor degree bound is inconsistent with the input."""
 
 
 class UEAElement(TermSum):
@@ -344,48 +339,64 @@ class _Span:
 
 
 class CentralReducer:
-    """Reusable reduction modulo <element_i - scalar_i> up to a degree bound.
+    """Exact reduction modulo the ideal of the relations r_i = element_i -
+    scalar_i, reusable across inputs.
 
-    The span of {(element_i - scalar_i) * monomial : deg(monomial) <= bound}
-    is echelonized once; reductions then subtract the exact best combination.
-    Cofactors come in ascending order, so each row is the row of its cofactor
-    without the last letter, times that letter.
+    ``reduce(x)`` first grows the span of the products r_i * m (m a PBW
+    monomial) to total degree deg x.  Each row is the row of m without its
+    last letter, times that letter.  ``bound`` is the largest cofactor
+    degree in the span, -1 before the first reduction.
+
+    Premise: the r_i are central, and their top-degree parts t_i form a
+    regular sequence in S(g) over Q(params).  Then the span is the ideal's
+    whole slice of degree <= deg x.  Let y = sum r_i a_i have degree below
+    D = max deg(r_i a_i).  Then sum t_i top(a_i) = 0, a combination of
+    Koszul syzygies t_j e_i - t_i e_j.  These lift exactly, as r_i r_j =
+    r_j r_i, and subtracting the lifts lowers D.  For the family, t(C2) has
+    rank >= 4, t(C1) has rank >= 2 over a field where -1 is not a square,
+    and t(mXi) = m*Xi.
     """
 
-    def __init__(self, algebra: LieAlgebra, relations, bound: int):
+    def __init__(self, algebra: LieAlgebra, relations):
         self.algebra = algebra
         self.relations = list(relations)
-        self.bound = bound
+        self.bound = -1
         self.span = _Span()
+        self._degree = -1
         one = UEAElement.one(algebra)
-        letters = [
-            UEAElement.generator(algebra, label) for label in algebra.generators
-        ]
+        # per relation: r * m for each cofactor m of the last degree built
+        self._level = []
         for rel in self.relations:
             if rel.element.algebra is not algebra:
                 raise MixedAlgebraError("relation element from another algebra")
-            products = {(): rel.element - one.scale(rel.scalar)}
-            for deg in range(bound + 1):
-                for word in itertools.combinations_with_replacement(
-                    range(algebra.dim), deg
-                ):
-                    if word:
-                        products[word] = uea_mul(
-                            products[word[:-1]], letters[word[-1]]
+            self._level.append({(): rel.element - one.scale(rel.scalar)})
+
+    def _grow(self, total: int) -> None:
+        g, dim = self.algebra, self.algebra.dim
+        letters = [UEAElement.generator(g, label) for label in g.generators]
+        for degree in range(self._degree + 1, total + 1):
+            for k, rel in enumerate(self.relations):
+                deg = degree - rel.element.degree()
+                if deg < 0:
+                    continue
+                if deg:
+                    prev = self._level[k]
+                    self._level[k] = {
+                        word: uea_mul(prev[word[:-1]], letters[word[-1]])
+                        for word in itertools.combinations_with_replacement(
+                            range(dim), deg
                         )
-                    exps = [0] * algebra.dim
+                    }
+                for word, product in self._level[k].items():
+                    exps = [0] * dim
                     for idx in word:
                         exps[idx] += 1
-                    self.span.add(
-                        products[word].terms, (rel.label, tuple(exps))
-                    )
+                    self.span.add(product.terms, (rel.label, tuple(exps)))
+                self.bound = max(self.bound, deg)
+            self._degree = degree
 
     def reduce(self, x: UEAElement):
-        if x.degree() - 2 > self.bound:
-            raise BoundExceededError(
-                f"degree {x.degree()} input needs bound >= {x.degree() - 2}, "
-                f"got {self.bound}"
-            )
+        self._grow(x.degree())
         residual, combo = self.span.reduce(x.terms)
         remainder = UEAElement(self.algebra, residual)
         witness = sorted(
@@ -395,17 +406,13 @@ class CentralReducer:
         return remainder, witness
 
 
-def central_reduce(x: UEAElement, relations, bound=None):
+def central_reduce(x: UEAElement, relations):
     """Remainder of x modulo the central-relation ideal, with a witness.
 
     The witness lists (relation label, cofactor exponents, coefficient)
     triples such that x = remainder + sum coeff * (element - scalar) * cofactor.
     """
-    if bound is None:
-        min_deg = min((rel.element.degree() for rel in relations), default=2)
-        bound = max(0, x.degree() - min_deg)
-    reducer = CentralReducer(x.algebra, relations, bound)
-    return reducer.reduce(x)
+    return CentralReducer(x.algebra, relations).reduce(x)
 
 
 # -- parsing the textual element format ----------------------------------------

@@ -1,9 +1,10 @@
 """Independent reference implementations used by several test modules."""
 
+import itertools
 import random
 
 from ckexpand.poly import Scalar
-from ckexpand.uea import UEAElement
+from ckexpand.uea import UEAElement, _Span, uea_mul
 
 
 def oracle_normalize(algebra, word, rng):
@@ -57,6 +58,29 @@ def oracle_reconstruct(remainder, witness, relations, products=None):
             products[(label, exps)] = product.terms
         total = total + UEAElement(g, products[(label, exps)]).scale(coeff)
     return total
+
+
+def oracle_span_reducer(algebra, relations, bound):
+    """The central reduction at a uniform cofactor bound: the echelon span
+    of (element - scalar) * m for every relation and every PBW monomial m
+    of degree <= ``bound``.  Returns a function from an element to its
+    remainder, which is exact for inputs of degree <= bound + the smallest
+    relation degree."""
+    span = _Span()
+    one = UEAElement.one(algebra)
+    letters = [UEAElement.generator(algebra, lab) for lab in algebra.generators]
+    for rel in relations:
+        products = {(): rel.element - one.scale(rel.scalar)}
+        for deg in range(bound + 1):
+            for word in itertools.combinations_with_replacement(
+                range(algebra.dim), deg
+            ):
+                if word:
+                    products[word] = uea_mul(
+                        products[word[:-1]], letters[word[-1]]
+                    )
+                span.add(products[word].terms, (rel.label, word))
+    return lambda x: UEAElement(algebra, span.reduce(x.terms)[0])
 
 
 def to_sympy(s: Scalar):

@@ -156,13 +156,23 @@ def test_atlas_json_is_deterministic(capsys):
 
 
 def test_degree_bound_flag(capsys):
-    code, _, err = run(capsys, "expand", "poincare", "--axis", "1",
-                       "--degree-bound", "0")
-    assert code == 2
-    assert "bound" in err
-    code, _, _ = run(capsys, "expand", "poincare", "--axis", "1",
-                     "--degree-bound", "2")
+    # the reduction is exact at any bound: a bound below the default, once
+    # refused or answered wrongly, gives the default report except for the
+    # recorded bound
+    argv = ["expand", "ext-galilei", "--axis", "1", "--omega", "1", "--json"]
+    code, default, _ = run(capsys, *argv)
     assert code == 0
+    for bound in ("0", "1", "3"):
+        code, out, _ = run(capsys, *argv, "--degree-bound", bound)
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "pass"
+        assert data["degree_bound"] == int(bound)
+        data["degree_bound"] = json.loads(default)["degree_bound"]
+        assert data == json.loads(default)
+    code, out, _ = run(capsys, "expand", "ext-galilei", "--axis", "1",
+                       "--omega", "1", "--degree-bound", "1")
+    assert code == 0 and "verdict: pass" in out
     # a negative bound is refused up front, on the closure path too
     for argv in (
         ["expand", "galilei", "--axis", "1", "--omega", "1", "--expect-failure"],

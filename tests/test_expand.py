@@ -38,7 +38,7 @@ from ckexpand.liealg import (
 from ckexpand.poly import parse_scalar
 from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
 
-from oracles import oracle_reconstruct
+from oracles import oracle_reconstruct, oracle_span_reducer
 
 AB = ("a1", "a2")
 REFERENCE = Path(__file__).resolve().parent.parent / "ckbench" / "reference.json"
@@ -462,11 +462,10 @@ def test_order_independence_is_still_checked(monkeypatch):
     assert report.verdict == "fail"
 
 
-def test_degree_bound_too_small():
-    from ckexpand.uea import BoundExceededError
-
-    with pytest.raises(BoundExceededError):
-        run_expansion(make_problem("poincare", 1), degree_bound=0)
+def test_bound_0_passes():
+    # the reduction is exact at any bound; the value is only recorded
+    report = run_expansion(make_problem("poincare", 1), degree_bound=0)
+    assert (report.verdict, report.degree_bound) == ("pass", 0)
 
 
 # -- the shortcut theorem and the negative control -----------------------------
@@ -534,23 +533,39 @@ def test_atlas_composition():
 
 @pytest.fixture(scope="module")
 def atlas_by_bound():
-    return {bound: run_atlas(bound) for bound in (None, 2, 3)}
+    return {bound: run_atlas(bound) for bound in (None, 0, 1, 2, 3)}
 
 
 def test_atlas_output_matches_the_benchmark_reference(atlas_by_bound):
-    # byte for byte, as the benchmark gate compares it; a deeper bound
+    # byte for byte, as the benchmark gate compares it; any other bound
     # changes nothing but the reported bound
     want = json.loads(REFERENCE.read_text())["atlas"]
     default = [report.to_json_dict() for report in atlas_by_bound[None]]
     assert [data["arrow"] for data in default] == list(want)
     for data in default:
         assert json.dumps(data, indent=2) == json.dumps(want[data["arrow"]], indent=2)
-    for bound in (2, 3):
+    for bound in (0, 1, 2, 3):
         for base, report in zip(default, atlas_by_bound[bound]):
             data = report.to_json_dict()
             assert data["degree_bound"] == (bound if base["degree_bound"] else 0)
             data["degree_bound"] = base["degree_bound"]
             assert json.dumps(data) == json.dumps(base)
+
+
+def test_atlas_remainders_equal_the_bound_3_span(atlas_by_bound):
+    # the span grown to each bracket's degree gives the same normal form
+    # as the uniform cofactor bound 3 of the earlier engine
+    checked = 0
+    for report in atlas_by_bound[None]:
+        if report.remainders is None:
+            continue
+        problem = report.problem
+        oracle = oracle_span_reducer(problem.initial, problem.relations, 3)
+        for pair, remainder in report.remainders.items():
+            diff = _bracket_diff(problem, report.primed, *pair)
+            assert (remainder or UEAElement(problem.initial)) == oracle(diff)
+            checked += remainder is not None
+    assert checked > 0
 
 
 def test_every_atlas_witness_rebuilds_its_bracket(atlas_by_bound):

@@ -67,3 +67,16 @@ def test_benchmark_names():
     finally:
         sys.setprofile(None)
     assert sorted(name for code, name in targets.items() if code not in entered) == []
+    # the NOTES of spans.py read these attributes of traced calls' arguments
+    # and results: a reducer's algebra name and its int bound, a report's
+    # initial algebra dimension and a Groebner result's basis
+    g = ckexpand.builtin_algebra("poincare")
+    reducer = ckexpand.CentralReducer(g, ckexpand.standard_relations(g))
+    assert type(reducer.bound) is int
+    reducer.reduce(ckexpand.casimir(g, 1))
+    assert reducer.algebra.name == "poincare" and type(reducer.bound) is int
+    report = ckexpand.run_expansion(ckexpand.make_problem(g, 1))
+    assert report.problem.initial.dim == 6
+    basis = ckexpand.groebner_basis(report.constraints.generators,
+                                    report.constraints.unknowns).groebner
+    assert basis and all(isinstance(p.terms, dict) for p in basis)

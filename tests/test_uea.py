@@ -1,10 +1,12 @@
 """PBW normal ordering, Casimirs, and central reduction."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckexpand.expand import ExpansionError, make_problem
 from ckexpand.liealg import (
     BUILTIN_NAMES,
     UnsupportedAlgebraError,
@@ -16,7 +18,6 @@ from ckexpand.liealg import (
 )
 from ckexpand.poly import Scalar, add_term, as_scalar, grlex_key, parse_scalar
 from ckexpand.uea import (
-    BoundExceededError,
     CentralReducer,
     CentralRelation,
     MixedAlgebraError,
@@ -39,7 +40,9 @@ EXT = make_extended_galilei()
 # the result is independent of that choice.  The oracle picks a random
 # inversion at every step, so agreement over many runs is strong evidence
 # that both terminate on the same normal form.
-from oracles import oracle_normalize, oracle_reconstruct
+from oracles import (
+    oracle_normalize, oracle_reconstruct, oracle_span_reducer, to_sympy,
+)
 
 
 @pytest.mark.parametrize("algebra", [SYMBOLIC, EXT], ids=lambda g: g.name)
@@ -229,7 +232,7 @@ def test_reduction_witness_reconstructs_input():
     assert witness  # something was actually subtracted
     assert oracle_reconstruct(remainder, witness, relations) == x
     # idempotent: the remainder is already fully reduced
-    again, more = central_reduce(remainder, relations, bound=2)
+    again, more = central_reduce(remainder, relations)
     assert again == remainder
     assert not more
 
@@ -243,11 +246,21 @@ def test_degree_one_relation_needs_the_wider_default_bound():
     assert oracle_reconstruct(remainder, witness, relations) == x
 
 
-def test_explicit_bound_too_small_raises():
+def test_reduction_grows_to_the_input_degree():
+    # no bound to exceed: the span grows to each input's degree, so C1^2
+    # reduces to c1^2 after C1 has grown it only to degree 2
     relations = standard_relations(SYMBOLIC)
-    x = uea_mul(casimir(SYMBOLIC, 1), casimir(SYMBOLIC, 1))
-    with pytest.raises(BoundExceededError):
-        central_reduce(x, relations, bound=1)
+    reducer = CentralReducer(SYMBOLIC, relations)
+    c1 = casimir(SYMBOLIC, 1)
+    assert reducer.reduce(c1)[0] == UEAElement.one(SYMBOLIC).scale(
+        Scalar.symbol("c1")
+    )
+    assert reducer.bound == 0
+    x = uea_mul(c1, c1)
+    remainder, witness = reducer.reduce(x)
+    assert reducer.bound == 2
+    assert remainder == UEAElement.one(SYMBOLIC).scale(parse_scalar("c1^2"))
+    assert oracle_reconstruct(remainder, witness, relations) == x
 
 
 def test_central_relations_are_immutable():
@@ -266,9 +279,10 @@ def test_relation_from_foreign_algebra_rejected():
 
 def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
     # each row is the row of its cofactor without the last letter, times
-    # that letter: the build makes no full product.  poincare at bound 3
-    # has 2 x 84 cofactors, of which 161 give independent rows; each of
-    # the 2 x 83 non-empty ones costs one product by a single generator.
+    # that letter: the build makes no full product.  Grown to degree 5,
+    # poincare has 2 x 84 cofactors of degree <= 3, of which 161 give
+    # independent rows; each of the 2 x 83 non-empty ones costs one
+    # product by a single generator, once across growths.
     import ckexpand.uea
 
     g = builtin_algebra("poincare")
@@ -281,8 +295,12 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(ckexpand.uea, "uea_mul", counted_mul)
-    reducer = CentralReducer(g, relations, 3)
-    assert len(calls) == 166
+    reducer = CentralReducer(g, relations)
+    assert (len(calls), reducer.bound) == (0, -1)
+    reducer.reduce(pbw_normalize(g, [0, 1, 2]))
+    assert (len(calls), reducer.bound) == (2 * 6, 1)
+    reducer.reduce(pbw_normalize(g, [0, 1, 2, 3, 4]))
+    assert (len(calls), reducer.bound) == (166, 3)
     for right in calls:
         [(exps, coeff)] = right.terms.items()
         assert sum(exps) == 1 and coeff.is_one
@@ -301,6 +319,80 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
         assert oracle_reconstruct(remainder, witness, relations, products) == x
 
 
+SEEDS = [builtin_algebra(name) for name in sorted(BUILTIN_NAMES)] + [
+    EXT,
+    SYMBOLIC,
+    make_ck_algebra(0, "w2", name="ck(0,w2)"),
+    make_ck_algebra("w1", 0, name="ck(w1,0)"),
+    make_ck_algebra(0, "1/(q+1)", name="ck(0,1/(q+1))"),
+    make_extended_galilei("2*n+1", name="ext-galilei(2n+1)"),
+    make_extended_galilei("1/(q+1)", name="ext-galilei(1/(q+1))"),
+]
+
+
+@pytest.mark.parametrize("algebra", SEEDS, ids=lambda g: g.name)
+def test_remainders_equal_the_bound_3_span(algebra):
+    # the span grown to the input's degree gives the normal form of the
+    # uniform cofactor bound 3, which covers words of degree <= 3 + the
+    # smallest relation degree
+    relations = standard_relations(algebra)
+    oracle = oracle_span_reducer(algebra, relations, 3)
+    reducer = CentralReducer(algebra, relations)
+    top = 3 + min(rel.element.degree() for rel in relations)
+    rng = random.Random(20261018)
+    for _ in range(60):
+        word = [rng.randrange(algebra.dim) for _ in range(rng.randint(0, top))]
+        x = pbw_normalize(algebra, word, rng.choice(COEFFS))
+        assert reducer.reduce(x)[0] == oracle(x)
+
+
+def _top_part(element):
+    """The top-degree part of an element as a sympy polynomial in its
+    generator labels over the field of its parameters."""
+    import sympy
+
+    deg = element.degree()
+    return sympy.Add(*(
+        to_sympy(coeff) * sympy.Mul(*(
+            sympy.Symbol(label) ** e
+            for label, e in zip(element.algebra.generators, exps)
+        ))
+        for exps, coeff in element.terms.items() if sum(exps) == deg
+    ))
+
+
+def _accepted(g):
+    for axis in (1, 2):
+        try:
+            make_problem(g, axis)
+            return True
+        except ExpansionError:
+            pass
+    return False
+
+
+@pytest.mark.parametrize(
+    "algebra", [g for g in SEEDS if _accepted(g)], ids=lambda g: g.name
+)
+def test_relation_tops_are_coprime(algebra):
+    # the premise of the exact reducer: the top-degree parts of the central
+    # relations form a regular sequence in S(g).  Two forms do when they
+    # are coprime; with the variable m*Xi as a third, the two Casimir tops
+    # must stay coprime once Xi is set to zero
+    sympy = pytest.importorskip("sympy")
+    gens = [sympy.Symbol(label) for label in algebra.generators]
+    tops = [_top_part(rel.element) for rel in standard_relations(algebra)]
+    cases = [tops]
+    if "Xi" in algebra.generators:
+        xi = sympy.Symbol("Xi")
+        cases.append([t.subs(xi, 0) for t in tops if t.subs(xi, 0) != 0])
+        assert len(cases[-1]) == 2
+    for case in cases:
+        for f, h in itertools.combinations(case, 2):
+            gcd = sympy.gcd(sympy.Poly(f, *gens), sympy.Poly(h, *gens))
+            assert gcd.total_degree() == 0, (f, h, gcd)
+
+
 def test_products_accumulate_in_one_dict_not_by_element_sums(monkeypatch):
     # a product adds each normal-ordered piece into a single term dict;
     # summing whole elements (by + or -) would copy the running total once
@@ -315,9 +407,10 @@ def test_products_accumulate_in_one_dict_not_by_element_sums(monkeypatch):
             return op(a, b)
 
         monkeypatch.setattr(UEAElement, name, counted)
-    assert not uea_mul(c2, c2).is_zero
+    x = uea_mul(c2, c2)
+    assert not x.is_zero
     assert len(calls) == 0
-    CentralReducer(g, relations, 3)
+    CentralReducer(g, relations).reduce(uea_mul(x, UEAElement.generator(g, "J")))
     # only (element - scalar) of each of the two relations
     assert len(calls) == 2
 
