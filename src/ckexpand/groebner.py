@@ -94,8 +94,14 @@ class ParamPoly(TermSum):
     def monic(self) -> "ParamPoly":
         if self.is_zero:
             return self
-        _, lc = self.leading()
-        return self if lc.is_one else self.scale(lc.inverse())
+        key, lc = self.leading()
+        if lc.is_one:
+            return self
+        inv = lc.inverse()
+        one = Scalar.one()
+        return self._like({
+            e: one if e == key else c * inv for e, c in self.terms.items()
+        })
 
     def proportional_to(self, other) -> bool:
         """True when self = u * other for a nonzero parameter Scalar u."""
@@ -189,7 +195,7 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
         else:
             remainder[key] = coeff
             continue
-        neg = -(coeff / blc)
+        neg = -coeff if blc.is_one else -(coeff / blc)
         shift = tuple(k - bk for k, bk in zip(key, bkey))
         for exps, c in bterms.items():
             if exps == bkey:
@@ -295,9 +301,15 @@ def reduce_mod_ideal(p, ideal: RelationIdeal) -> ParamPoly:
 
 
 def ideal_equals(a: RelationIdeal, b: RelationIdeal) -> bool:
-    """Ideal equality via mutual reduction of the Groebner bases."""
+    """Ideal equality via mutual reduction of the Groebner bases.
+
+    Equal bases generate the same ideal, so they short-circuit to True
+    without a reduction.
+    """
     if tuple(a.unknowns) != tuple(b.unknowns):
         return False
+    if list(a.groebner) == list(b.groebner):
+        return True
     return all(reduce_mod_ideal(g, b).is_zero for g in a.groebner) and all(
         reduce_mod_ideal(g, a).is_zero for g in b.groebner
     )

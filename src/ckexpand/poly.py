@@ -15,11 +15,15 @@ equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
 other: there is no polynomial gcd, so the form is not canonical and
-equality is defined by cross-multiplication.  To keep shared factors from
-swelling, a sum goes over the larger denominator when one divides the
-other, and a product first cancels each numerator against the other
-denominator where one divides the other.  A constant carries its rational
-``value``, so constant arithmetic skips the polynomials.
+equality over different denominators is defined by cross-multiplication.
+To keep shared factors from swelling, a sum goes over the larger
+denominator when one divides the other, and a product first cancels each
+numerator against the other denominator where one divides the other.
+Such a division is tried only when both polynomials have two or more
+terms: once the monomial content is out, a one-term side divides nothing
+or is a constant, which the rational content takes out.  A constant
+carries its rational ``value``, so constant arithmetic skips the
+polynomials.
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -145,7 +149,9 @@ class Poly:
         for coeff in self.terms.values():
             num = math.gcd(num, coeff.numerator)
             den = math.lcm(den, coeff.denominator)
-        return _coeff(Fraction(num, den))
+        # a prime of den divides some coefficient's denominator, hence not
+        # its numerator, hence not num: the pair is in lowest terms
+        return num if den == 1 else Fraction(num, den)
 
     def mono_content(self):
         """Largest monomial dividing every term."""
@@ -362,7 +368,15 @@ def exact_div(a: Poly, b: Poly):
 
 
 def _cancel(num: Poly, den: Poly):
-    """(num, den) with whichever side exactly divides the other divided out."""
+    """(num, den) with whichever side exactly divides the other divided out.
+
+    Only a pair of two polynomials of two or more terms is tried: the
+    callers have removed the common monomial content (or leave it to
+    ``Scalar.__init__``), after which a one-term side either divides
+    nothing or is a constant, and ``_settle`` divides out a constant.
+    """
+    if len(num.terms) < 2 or len(den.terms) < 2:
+        return num, den
     q = exact_div(num, den)
     if q is not None:
         return q, ONE
@@ -425,8 +439,7 @@ class Scalar:
             den = Poly(
                 {_mono_div(m, common): c for m, c in den.terms.items()}
             )
-        if not den.is_one:
-            num, den = _cancel(num, den)
+        num, den = _cancel(num, den)
         self._settle(num, den)
 
     def _settle(self, num: Poly, den: Poly):
@@ -477,13 +490,16 @@ class Scalar:
         ad, bd = self.den, other.den
         if ad == bd:
             return Scalar(a + b, ad)
-        # over the larger denominator when one divides the other
-        q = exact_div(bd, ad)
-        if q is not None:
-            return Scalar(a * q + b, bd)
-        q = exact_div(ad, bd)
-        if q is not None:
-            return Scalar(a + b * q, ad)
+        # over the larger denominator when one divides the other; a
+        # one-term denominator is a monomial that Scalar.__init__ takes out
+        # of the cross product again
+        if len(ad.terms) > 1 and len(bd.terms) > 1:
+            q = exact_div(bd, ad)
+            if q is not None:
+                return Scalar(a * q + b, bd)
+            q = exact_div(ad, bd)
+            if q is not None:
+                return Scalar(a + b * q, ad)
         return Scalar(a * bd + b * ad, ad * bd)
 
     def __add__(self, other):
@@ -533,10 +549,8 @@ class Scalar:
             return other._scaled(p)
         a, b, c, d = self.num, self.den, other.num, other.den
         # cancel each numerator against the other side's denominator first
-        if not d.is_one:
-            a, d = _cancel(a, d)
-        if not b.is_one:
-            c, b = _cancel(c, b)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
         if b.is_one and d.is_one:
             return Scalar(a * c)
         return Scalar(a * c, b * d)
@@ -561,8 +575,10 @@ class Scalar:
         """1/self: the normalized pair swapped, with content and sign fixed."""
         if self.is_zero:
             raise ScalarDivisionError("division by zero")
-        if self.value is not None:
-            q = self.value
+        q = self.value
+        if q == 1 or q == -1:
+            return self
+        if q is not None:
             return _constant(Fraction(q.denominator, q.numerator))
         out = Scalar.__new__(Scalar)
         out._settle(self.den, self.num)
@@ -572,7 +588,7 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one and other.den.is_one:
+        if self.den == other.den:
             return self.num == other.num
         # cross-multiplication: canonical Poly makes this structural
         return self.num * other.den == other.num * self.den

@@ -2,8 +2,9 @@
 
 import itertools
 import random
+from fractions import Fraction
 
-from ckexpand.poly import Scalar
+from ckexpand.poly import ONE, Poly, Scalar, _constant, _mono_div, exact_div
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
 
@@ -81,6 +82,93 @@ def oracle_span_reducer(algebra, relations, bound):
                     )
                 span.add(products[word].terms, (rel.label, word))
     return lambda x: UEAElement(algebra, span.reduce(x.terms)[0])
+
+
+# -- the earlier cancellation rules of Scalar -------------------------------
+#
+# Every exact division is tried, whatever the number of terms.  Scalar
+# skips the one-term cases, and its printed num and den must still match.
+
+
+def _old_cancel(num, den):
+    q = exact_div(num, den)
+    if q is not None:
+        return q, ONE
+    q = exact_div(den, num)
+    if q is not None:
+        return ONE, q
+    return num, den
+
+
+def _settled(num, den):
+    out = Scalar.__new__(Scalar)
+    out._settle(num, den)
+    return out
+
+
+def oracle_scalar(num, den=ONE):
+    """Scalar(num, den): monomial content out, then either side that
+    exactly divides the other, then rational content and sign."""
+    if num.is_zero or den.is_one:
+        return Scalar(num)
+    nc = dict(num.mono_content())
+    common = tuple(sorted(
+        (s, min(e, nc[s])) for s, e in den.mono_content() if s in nc
+    ))
+    num = Poly({_mono_div(m, common): c for m, c in num.terms.items()})
+    den = Poly({_mono_div(m, common): c for m, c in den.terms.items()})
+    if not den.is_one:
+        num, den = _old_cancel(num, den)
+    return _settled(num, den)
+
+
+def oracle_sum(x, y, negate=False):
+    """x + y (x - y when negate) over the larger denominator when one
+    denominator exactly divides the other."""
+    p, q = x.value, y.value
+    if p is not None and q is not None:
+        return _constant(p - q if negate else p + q)
+    a, b = x.num, -y.num if negate else y.num
+    ad, bd = x.den, y.den
+    if ad == bd:
+        return oracle_scalar(a + b, ad)
+    q = exact_div(bd, ad)
+    if q is not None:
+        return oracle_scalar(a * q + b, bd)
+    q = exact_div(ad, bd)
+    if q is not None:
+        return oracle_scalar(a + b * q, ad)
+    return oracle_scalar(a * bd + b * ad, ad * bd)
+
+
+def oracle_mul(x, y):
+    """x * y, each numerator first cancelled against the other side's
+    denominator."""
+    p, q = x.value, y.value
+    if q is not None:
+        return x._scaled(q) if p is None else _constant(p * q)
+    if p is not None:
+        return y._scaled(p)
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if not d.is_one:
+        a, d = _old_cancel(a, d)
+    if not b.is_one:
+        c, b = _old_cancel(c, b)
+    return oracle_scalar(a * c, b * d)
+
+
+def oracle_inverse(x):
+    if x.value is not None:
+        return _constant(Fraction(x.value.denominator, x.value.numerator))
+    return _settled(x.den, x.num)
+
+
+def oracle_monic(p):
+    """A ParamPoly scaled by the inverse of its leading coefficient."""
+    if p.is_zero:
+        return p
+    inv = oracle_inverse(p.leading()[1])
+    return p._like({e: oracle_mul(c, inv) for e, c in p.terms.items()})
 
 
 def to_sympy(s: Scalar):

@@ -172,6 +172,45 @@ def test_redundant_generator_is_dropped_in_one_pass(monkeypatch):
     assert len(reductions) == len(spolys) + len(ideal.groebner)
 
 
+# -- ideal_equals: equal bases short-circuit, other bases reduce each way -----
+
+
+def test_equal_bases_are_one_ideal_without_a_reduction(monkeypatch):
+    gens = [pp("c1*a2^2 + w2"), pp("2*c1*a1*a2 + c2*a2^2")]
+    ideal = groebner_basis(gens, AB)
+    again = groebner_basis(list(reversed(gens)), AB)
+    assert ideal.groebner is not again.groebner
+    reductions = count_calls(monkeypatch, "_reduce")
+    assert ideal_equals(ideal, ideal)
+    assert ideal_equals(ideal, again)
+    assert len(reductions) == 0
+
+
+def test_other_generators_of_the_same_ideal_are_reduced_each_way(monkeypatch):
+    ideal = groebner_basis([pp("c1*a2^2 + w2"), pp("2*c1*a1 + c2*a2")], AB)
+    first = ideal.groebner[0]
+    # two Groebner bases of the ideal that are not the reduced one: each
+    # element scaled by a parameter, and the basis with a multiple appended
+    scaled = [b.scale(parse_scalar("w1 + 1")) for b in ideal.groebner]
+    extended = [*ideal.groebner, first.shift((1, 1), parse_scalar("c2"))]
+    for other in (scaled, extended):
+        reductions = count_calls(monkeypatch, "_reduce")
+        assert ideal_equals(ideal, RelationIdeal(AB, (), tuple(other)))
+        assert len(reductions) == len(ideal.groebner) + len(other)
+
+
+def test_different_ideals_or_unknowns_are_not_equal():
+    ideal = groebner_basis([pp("c1*a2^2 + w2"), pp("2*c1*a1 + c2*a2")], AB)
+    assert not ideal_equals(ideal, groebner_basis([pp("a1")], AB))
+    assert not ideal_equals(groebner_basis([pp("a1")], AB),
+                            groebner_basis([pp("a2")], AB))
+    # equal (empty) bases in different unknowns
+    assert not ideal_equals(groebner_basis([], AB), groebner_basis([], ("a1",)))
+    a1 = groebner_basis([pp("a1")], AB).groebner
+    assert not ideal_equals(RelationIdeal(AB, (), a1),
+                            RelationIdeal(("a1", "a3"), (), a1))
+
+
 # -- sympy oracle for groebner_basis ------------------------------------------
 
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))

@@ -1,11 +1,19 @@
 """Exact polynomial and fraction-field arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import to_sympy
+from oracles import (
+    oracle_inverse,
+    oracle_monic,
+    oracle_mul,
+    oracle_scalar,
+    oracle_sum,
+    to_sympy,
+)
 
 from ckexpand.groebner import ParamPoly
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
@@ -256,6 +264,150 @@ def test_inverse_swaps_the_pair_without_dividing(s):
     assert len(calls) == 0
 
 
+# -- printed forms against the earlier cancellation rules -------------------
+#
+# Scalar's form is not canonical, and the atlas JSON prints num and den as
+# they are.  Skipping the one-term divisions must leave every form as the
+# earlier rules (tests/oracles.py) gave it, not just an equal value.
+
+X, Y, Z = (Poly.symbol(s) for s in SYMBOLS)
+PLANT_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+# factors that operands share, so that denominators divide each other
+FACTORS = (
+    X + 1, Y - 2, X * Y + Z, 2 * X - 3 * Z, X * X + Y, Z - Fraction(1, 2)
+)
+
+
+def _random_poly(rng, size):
+    terms = {}
+    for _ in range(size):
+        mono = tuple(
+            (sym, e) for sym in SYMBOLS if (e := rng.choice((0, 0, 1, 2)))
+        )
+        terms[mono] = terms.get(mono, 0) + rng.choice(PLANT_COEFFS)
+    return Poly({m: c for m, c in terms.items() if c}) or Poly.const(1)
+
+
+def _shared(rng, k):
+    product = Poly.const(1)
+    for f in rng.sample(FACTORS, k):
+        product = product * f
+    return product
+
+
+def _planted(rng):
+    """(num, den) of one of the shapes that the rules tell apart."""
+    kind = rng.randrange(7)
+    if kind == 0:  # a factor planted in both
+        f = _shared(rng, rng.randint(1, 2))
+        num = _random_poly(rng, rng.randint(1, 3)) * f
+        return num, _random_poly(rng, rng.randint(1, 2)) * f
+    if kind == 1:  # a monomial denominator
+        return _random_poly(rng, rng.randint(1, 3)), _random_poly(rng, 1)
+    if kind == 2:  # a monomial times shared factors
+        num = _random_poly(rng, rng.randint(1, 3))
+        return num, _random_poly(rng, 1) * _shared(rng, rng.randint(1, 2))
+    if kind == 3:  # a constant numerator
+        num = Poly.const(rng.choice(PLANT_COEFFS))
+        return num, _shared(rng, rng.randint(1, 3))
+    if kind == 4:  # a monomial numerator
+        return _random_poly(rng, 1), _shared(rng, rng.randint(1, 3))
+    if kind == 5:
+        return _random_poly(rng, rng.randint(1, 3)), Poly.const(1)
+    return Poly.const(rng.choice(PLANT_COEFFS)), Poly.const(1)
+
+
+def _planted_operations(seed, rounds):
+    """(name, new, reference) triples of results to be computed: the
+    construction, +, -, *, / and inverse() of planted Scalars."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        (an, ad), (bn, bd) = _planted(rng), _planted(rng)
+        yield "Scalar", lambda: Scalar(an, ad), lambda: oracle_scalar(an, ad)
+        a, b = oracle_scalar(an, ad), oracle_scalar(bn, bd)
+        yield "+", lambda: a + b, lambda: oracle_sum(a, b)
+        yield "-", lambda: a - b, lambda: oracle_sum(a, b, negate=True)
+        yield "*", lambda: a * b, lambda: oracle_mul(a, b)
+        if not b.is_zero:
+            yield "/", lambda: a / b, lambda: oracle_mul(a, oracle_inverse(b))
+            yield "inverse", b.inverse, lambda: oracle_inverse(b)
+
+
+def test_planted_scalar_arithmetic_prints_as_the_earlier_rules():
+    ops = 0
+    for name, new, reference in _planted_operations(20261019, 500):
+        got, want = new(), reference()
+        assert _shape(got) == _shape(want), name
+        assert (str(got.num), str(got.den)) == (str(want.num), str(want.den))
+        ops += 1
+    assert ops == 3000
+
+
+def test_planted_monic_prints_as_the_earlier_rule():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = (rng.randint(0, 2), rng.randint(0, 2))
+            add_term(terms, exps, oracle_scalar(*_planted(rng)))
+        p = ParamPoly(UNKNOWNS, terms)
+        got, want = p.monic(), oracle_monic(p)
+        assert got.terms.keys() == want.terms.keys()
+        for exps, coeff in got.terms.items():
+            assert _shape(coeff) == _shape(want.terms[exps])
+
+
+def test_scalar_arithmetic_never_divides_by_or_into_one_term(monkeypatch):
+    import ckexpand.poly
+
+    sizes = []
+    div = ckexpand.poly.exact_div
+
+    def counted_div(a, b):
+        sizes.append((len(a.terms), len(b.terms)))
+        return div(a, b)
+
+    monkeypatch.setattr(ckexpand.poly, "exact_div", counted_div)
+    for _, new, _ in _planted_operations(20261019, 500):
+        new()
+    assert sizes, "no division was tried at all"
+    assert min(min(pair) for pair in sizes) >= 2
+
+
+def test_monic_never_multiplies_the_leading_coefficient(monkeypatch):
+    p = ParamPoly.from_scalar(
+        parse_scalar("(c1 + 1)/(c2)*a1^2 + c2*a1*a2 + 3*a2 - 1/(c1 - c2)"),
+        UNKNOWNS,
+    )
+    _, lc = p.leading()
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted_mul(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monic = p.monic()
+    assert monic.leading()[1].is_one
+    assert len(calls) == len(p.terms) - 1
+    assert not [pair for pair in calls if lc is pair[0] or lc is pair[1]]
+
+
+def test_inverse_of_plus_or_minus_one_builds_no_fraction(monkeypatch):
+    import ckexpand.poly
+
+    ones = [Scalar.one(), Scalar.const(-1), parse_scalar("x/x"),
+            parse_scalar("-(x + 1)/(x + 1)")]
+
+    def refused(*args):
+        raise AssertionError("Fraction built for the inverse of ±1")
+
+    monkeypatch.setattr(ckexpand.poly, "Fraction", refused)
+    for s in ones:
+        assert s.inverse() is s
+
+
 @given(polys, polys)
 def test_polynomial_scalars_stay_polynomial(a, b):
     assert (Scalar(a) + Scalar(b)).den.is_one
@@ -319,8 +471,16 @@ def test_polynomial_scalar_equality_multiplies_nothing(monkeypatch):
         calls.append(1)
         return mul(x, y)
 
+    # equal multi-term denominators compare the numerators alone
+    c = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
+    d = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
+    e = parse_scalar("w1/(w1 - 3*c2)")
+    assert c.den is not d.den and len(c.den.terms) == 2
+
     monkeypatch.setattr(ckexpand.poly, "terms_mul", counted_mul)
     assert a == b
+    assert c == d
+    assert c != e
     assert len(calls) == 0
 
 
