@@ -195,7 +195,7 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
         else:
             remainder[key] = coeff
             continue
-        neg = -coeff if blc.is_one else -(coeff / blc)
+        neg = -(coeff / blc)
         shift = tuple(k - bk for k, bk in zip(key, bkey))
         for exps, c in bterms.items():
             if exps == bkey:
@@ -214,7 +214,11 @@ def _spoly(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 
 
 class RelationIdeal(NamedTuple):
-    """Generators plus the reduced Groebner basis they produce."""
+    """Generators plus the reduced Groebner basis they produce.
+
+    The basis is the unique one of the ideal: monic, reduced and sorted by
+    leading monomial, so that ideal_equals can compare it as a list.
+    """
 
     unknowns: tuple
     generators: tuple = ()
@@ -301,15 +305,12 @@ def reduce_mod_ideal(p, ideal: RelationIdeal) -> ParamPoly:
 
 
 def ideal_equals(a: RelationIdeal, b: RelationIdeal) -> bool:
-    """Ideal equality via mutual reduction of the Groebner bases.
+    """Ideal equality as equality of the reduced Groebner bases.
 
-    Equal bases generate the same ideal, so they short-circuit to True
-    without a reduction.
+    The reduced, monic basis sorted by leading monomial is unique for an
+    ideal, and Scalar coefficients compare as rational functions, so two
+    ideals in the same unknowns are equal exactly when their bases are.
     """
     if tuple(a.unknowns) != tuple(b.unknowns):
         return False
-    if list(a.groebner) == list(b.groebner):
-        return True
-    return all(reduce_mod_ideal(g, b).is_zero for g in a.groebner) and all(
-        reduce_mod_ideal(g, a).is_zero for g in b.groebner
-    )
+    return list(a.groebner) == list(b.groebner)

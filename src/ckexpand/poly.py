@@ -15,15 +15,14 @@ equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
 other: there is no polynomial gcd, so the form is not canonical and
-equality over different denominators is defined by cross-multiplication.
-To keep shared factors from swelling, a sum goes over the larger
-denominator when one divides the other, and a product first cancels each
-numerator against the other denominator where one divides the other.
-Such a division is tried only when both polynomials have two or more
-terms: once the monomial content is out, a one-term side divides nothing
-or is a constant, which the rational content takes out.  A constant
-carries its rational ``value``, so constant arithmetic skips the
-polynomials.
+equality is defined by cross-multiplication.  To keep shared factors from
+swelling, a sum goes over the larger denominator when one divides the
+other, and a product first cancels each numerator against the other
+denominator where one divides the other.  Such a division is tried only
+when both polynomials have two or more terms: once the monomial content
+is out, a one-term side divides nothing or is a constant, which the
+rational content takes out.  A constant carries its rational ``value``,
+so constant arithmetic skips the polynomials.
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -149,9 +148,7 @@ class Poly:
         for coeff in self.terms.values():
             num = math.gcd(num, coeff.numerator)
             den = math.lcm(den, coeff.denominator)
-        # a prime of den divides some coefficient's denominator, hence not
-        # its numerator, hence not num: the pair is in lowest terms
-        return num if den == 1 else Fraction(num, den)
+        return _coeff(Fraction(num, den))
 
     def mono_content(self):
         """Largest monomial dividing every term."""
@@ -575,10 +572,8 @@ class Scalar:
         """1/self: the normalized pair swapped, with content and sign fixed."""
         if self.is_zero:
             raise ScalarDivisionError("division by zero")
-        q = self.value
-        if q == 1 or q == -1:
-            return self
-        if q is not None:
+        if self.value is not None:
+            q = self.value
             return _constant(Fraction(q.denominator, q.numerator))
         out = Scalar.__new__(Scalar)
         out._settle(self.den, self.num)
@@ -588,7 +583,7 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
+        if self.den.is_one and other.den.is_one:
             return self.num == other.num
         # cross-multiplication: canonical Poly makes this structural
         return self.num * other.den == other.num * self.den

@@ -394,20 +394,6 @@ def test_monic_never_multiplies_the_leading_coefficient(monkeypatch):
     assert not [pair for pair in calls if lc is pair[0] or lc is pair[1]]
 
 
-def test_inverse_of_plus_or_minus_one_builds_no_fraction(monkeypatch):
-    import ckexpand.poly
-
-    ones = [Scalar.one(), Scalar.const(-1), parse_scalar("x/x"),
-            parse_scalar("-(x + 1)/(x + 1)")]
-
-    def refused(*args):
-        raise AssertionError("Fraction built for the inverse of ±1")
-
-    monkeypatch.setattr(ckexpand.poly, "Fraction", refused)
-    for s in ones:
-        assert s.inverse() is s
-
-
 @given(polys, polys)
 def test_polynomial_scalars_stay_polynomial(a, b):
     assert (Scalar(a) + Scalar(b)).den.is_one
@@ -471,16 +457,8 @@ def test_polynomial_scalar_equality_multiplies_nothing(monkeypatch):
         calls.append(1)
         return mul(x, y)
 
-    # equal multi-term denominators compare the numerators alone
-    c = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
-    d = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
-    e = parse_scalar("w1/(w1 - 3*c2)")
-    assert c.den is not d.den and len(c.den.terms) == 2
-
     monkeypatch.setattr(ckexpand.poly, "terms_mul", counted_mul)
     assert a == b
-    assert c == d
-    assert c != e
     assert len(calls) == 0
 
 
