@@ -104,15 +104,20 @@ class ParamPoly(TermSum):
         })
 
     def proportional_to(self, other) -> bool:
-        """True when self = u * other for a nonzero parameter Scalar u."""
+        """True when self = u * other for a nonzero parameter Scalar u.
+
+        A nonzero multiple keeps every term, so different term supports
+        answer False and equal term dicts answer True (u = 1) without
+        arithmetic.  Only two different polynomials over one support are
+        cross-scaled by their leading coefficients and subtracted.
+        """
         other = ParamPoly.coerce(other, self.unknowns)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        key, lc = self.leading()
-        okey, olc = other.leading()
-        if key != okey:
+        if self.terms.keys() != other.terms.keys():
             return False
-        return (self.scale(olc) - other.scale(lc)).is_zero
+        if self.terms == other.terms:
+            return True  # u = 1; two zeros land here too
+        key, lc = self.leading()
+        return (self.scale(other.terms[key]) - other.scale(lc)).is_zero
 
     def normalized(self) -> "ParamPoly":
         """Denominator-free form with content removed and positive lead.

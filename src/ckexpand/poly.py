@@ -15,14 +15,19 @@ equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content,
 with full cancellation applied only when one side exactly divides the
 other: there is no polynomial gcd, so the form is not canonical and
-equality is defined by cross-multiplication.  To keep shared factors from
-swelling, a sum goes over the larger denominator when one divides the
-other, and a product first cancels each numerator against the other
-denominator where one divides the other.  Such a division is tried only
-when both polynomials have two or more terms: once the monomial content
-is out, a one-term side divides nothing or is a constant, which the
-rational content takes out.  A constant carries its rational ``value``,
-so constant arithmetic skips the polynomials.
+equality is defined by cross-multiplication.  A Scalar whose value is a
+polynomial holds the shared ``ONE`` as its denominator, and only such a
+Scalar does, so ``den is ONE`` picks the path: a sum or product of two
+polynomials is one ``terms_add`` or ``terms_mul`` of the numerators,
+already normal, and only a real denominator takes the fraction rules.
+To keep shared factors from swelling, a sum goes over the larger
+denominator when one divides the other, and a product first cancels each
+numerator against the other denominator where one divides the other.
+Such a division is tried only when both polynomials have two or more
+terms: once the monomial content is out, a one-term side divides nothing
+or is a constant, which the rational content takes out.  A constant
+carries its rational ``value``, so constant arithmetic skips the
+polynomials.
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -390,6 +395,16 @@ def _value(terms):
     return None if terms else 0
 
 
+def _polynomial(terms) -> "Scalar":
+    """The Scalar of a polynomial's canonical terms, built without
+    normalising: a polynomial is already normal."""
+    out = Scalar.__new__(Scalar)
+    out.num = Poly(terms)
+    out.den = ONE
+    out.value = _value(terms)
+    return out
+
+
 def _constant(q) -> "Scalar":
     """The Scalar of the int or Fraction q, built without normalising."""
     out = Scalar.__new__(Scalar)
@@ -405,7 +420,8 @@ class Scalar:
     """A fraction of two polynomials; the universal coefficient domain.
 
     ``value`` is the rational value (int or Fraction) of a constant, else
-    None, so constant arithmetic never reaches the polynomials.
+    None, so constant arithmetic never reaches the polynomials.  ``den``
+    is the shared ``ONE`` exactly when the value is a polynomial.
     """
 
     __slots__ = ("num", "den", "value")
@@ -449,7 +465,7 @@ class Scalar:
                 num = num.scale(Fraction(1) / c)
                 den = den.scale(Fraction(1) / c)
         self.num = num
-        self.den = den
+        self.den = ONE if den.is_one else den
         self.value = _value(num.terms) if den.is_one else None
 
     @classmethod
@@ -477,14 +493,20 @@ class Scalar:
         return self.value == 1
 
     def _sum(self, other, negate):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
         p, q = self.value, other.value
         if p is not None and q is not None:
             return _constant(p - q if negate else p + q)
-        a, b = self.num, -other.num if negate else other.num
         ad, bd = self.den, other.den
+        if ad is ONE and bd is ONE:
+            b = other.num.terms
+            return _polynomial(
+                terms_add(self.num.terms, terms_neg(b) if negate else b)
+            )
+        a, b = self.num, -other.num if negate else other.num
         if ad == bd:
             return Scalar(a + b, ad)
         # over the larger denominator when one divides the other; a
@@ -536,20 +558,23 @@ class Scalar:
         return out
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
         p, q = self.value, other.value
         if q is not None:
             return self._scaled(q) if p is None else _constant(p * q)
         if p is not None:
             return other._scaled(p)
         a, b, c, d = self.num, self.den, other.num, other.den
-        # cancel each numerator against the other side's denominator first
-        a, d = _cancel(a, d)
-        c, b = _cancel(c, b)
-        if b.is_one and d.is_one:
-            return Scalar(a * c)
+        if b is not ONE or d is not ONE:
+            # cancel each numerator against the other side's denominator
+            # first; _cancel gives ONE for a denominator it divides away
+            a, d = _cancel(a, d)
+            c, b = _cancel(c, b)
+        if b is ONE and d is ONE:
+            return _polynomial(terms_mul(a.terms, c.terms))
         return Scalar(a * c, b * d)
 
     __rmul__ = __mul__
@@ -583,7 +608,7 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one and other.den.is_one:
+        if self.den is ONE and other.den is ONE:
             return self.num == other.num
         # cross-multiplication: canonical Poly makes this structural
         return self.num * other.den == other.num * self.den

@@ -183,3 +183,15 @@ def to_sympy(s: Scalar):
         ))
 
     return poly(s.num) / poly(s.den)
+
+
+def oracle_proportional(p, q):
+    """The earlier ParamPoly.proportional_to: equal leading monomials, and
+    p scaled by q's leading coefficient equals q scaled by p's."""
+    if p.is_zero or q.is_zero:
+        return p.is_zero and q.is_zero
+    key, lc = p.leading()
+    okey, olc = q.leading()
+    if key != okey:
+        return False
+    return (p.scale(olc) - q.scale(lc)).is_zero

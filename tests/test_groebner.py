@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import to_sympy
+from oracles import oracle_proportional, to_sympy
 
 from ckexpand.groebner import (
     ParamPoly,
@@ -12,7 +12,7 @@ from ckexpand.groebner import (
     ideal_equals,
     reduce_mod_ideal,
 )
-from ckexpand.poly import parse_scalar
+from ckexpand.poly import Scalar, parse_scalar
 
 AB = ("a1", "a2")
 
@@ -39,6 +39,82 @@ def test_proportionality_over_the_parameter_field():
     assert a.proportional_to(pp("w1*(4*w2*c1*a1^2 + w1)"))
     assert not a.proportional_to(pp("4*w2*c1*a1^2 - w1"))
     assert not a.proportional_to(pp("a1"))
+
+
+# parameter coefficients, fractions among them
+COEFFICIENTS = ("1", "-2", "1/2", "w1", "c1 - w1", "2*c1*w1", "1/(w1 + 1)",
+                "(c1 - 1)/c2")
+SUPPORT = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+@st.composite
+def proportionality_pairs(draw):
+    """(p, q, planted): q is a random ParamPoly, a multiple u*p for a
+    nonzero parameter Scalar u (planted True), such a multiple with one
+    coefficient changed (the same support), or with a term added or
+    dropped (another support)."""
+    def poly(size):
+        if not size:
+            return ParamPoly(AB)
+        monos = draw(st.lists(st.sampled_from(SUPPORT), min_size=size,
+                              max_size=size, unique=True))
+        return pp(" + ".join(
+            f"({draw(st.sampled_from(COEFFICIENTS))})*a1^{e1}*a2^{e2}"
+            for e1, e2 in monos
+        ))
+
+    p = poly(draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["random", "multiple", "support", "other"]))
+    if kind == "random":
+        return p, poly(draw(st.integers(0, 3))), None
+    q = p.scale(parse_scalar(draw(st.sampled_from(COEFFICIENTS[1:]))))
+    if kind == "multiple":
+        return p, q, True
+    terms = dict(q.terms)
+    if kind == "support":
+        exps = draw(st.sampled_from(sorted(terms)))
+        terms[exps] = terms[exps] * parse_scalar("c2 + 3")
+        return p, q._like(terms), None
+    exps = draw(st.sampled_from(SUPPORT))
+    if exps in terms and len(terms) > 1:
+        del terms[exps]
+    else:
+        terms[exps] = terms.get(exps, Scalar.zero()) + parse_scalar("c2")
+    return p, q._like(terms), None
+
+
+@settings(deadline=None)
+@given(proportionality_pairs())
+def test_proportionality_matches_the_leading_coefficient_rule(pair):
+    p, q, planted = pair
+    got = p.proportional_to(q)
+    assert got == oracle_proportional(p, q)
+    assert q.proportional_to(p) == oracle_proportional(q, p)
+    if planted is not None:
+        assert got is planted
+
+
+def test_other_supports_and_equal_terms_multiply_no_scalar(monkeypatch):
+    a = pp("4*w2*c1*a1^2 + w1/(c1 + 1)")
+    same = pp("4*w2*c1*a1^2 + w1/(c1 + 1)")
+    # the same leading monomial a1^2 on another support
+    others = [pp("4*w2*c1*a1^2 + w1*a2"), pp("4*w2*c1*a1^2"),
+              pp("a1^2 + a1 + w1/(c1 + 1)")]
+    multiple = pp("-w1*(4*w2*c1*a1^2 + w1/(c1 + 1))")
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    assert a.proportional_to(same) and same.proportional_to(a)
+    assert not any(a.proportional_to(o) or o.proportional_to(a)
+                   for o in others)
+    assert calls == []
+    assert a.proportional_to(multiple)
+    assert calls, "a true multiple is decided by the cross-scaled test"
 
 
 def test_normalized_clears_denominators_and_content():

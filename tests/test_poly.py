@@ -18,6 +18,7 @@ from oracles import (
 from ckexpand.groebner import ParamPoly
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
+    ONE,
     Poly,
     Scalar,
     ScalarDivisionError,
@@ -297,7 +298,7 @@ def _shared(rng, k):
 
 def _planted(rng):
     """(num, den) of one of the shapes that the rules tell apart."""
-    kind = rng.randrange(7)
+    kind = rng.randrange(9)
     if kind == 0:  # a factor planted in both
         f = _shared(rng, rng.randint(1, 2))
         num = _random_poly(rng, rng.randint(1, 3)) * f
@@ -314,6 +315,12 @@ def _planted(rng):
         return _random_poly(rng, 1), _shared(rng, rng.randint(1, 3))
     if kind == 5:
         return _random_poly(rng, rng.randint(1, 3)), Poly.const(1)
+    if kind == 7:  # a polynomial with shared factors
+        f = _shared(rng, rng.randint(1, 2))
+        return _random_poly(rng, rng.randint(1, 3)) * f, Poly.const(1)
+    if kind == 8:  # a polynomial once its planted denominator cancels
+        f = _shared(rng, rng.randint(1, 2))
+        return _random_poly(rng, rng.randint(1, 3)) * f, f
     return Poly.const(rng.choice(PLANT_COEFFS)), Poly.const(1)
 
 
@@ -339,6 +346,7 @@ def test_planted_scalar_arithmetic_prints_as_the_earlier_rules():
         got, want = new(), reference()
         assert _shape(got) == _shape(want), name
         assert (str(got.num), str(got.den)) == (str(want.num), str(want.den))
+        assert (got.den is ONE) == want.den.is_one, name
         ops += 1
     assert ops == 3000
 
@@ -392,6 +400,57 @@ def test_monic_never_multiplies_the_leading_coefficient(monkeypatch):
     assert monic.leading()[1].is_one
     assert len(calls) == len(p.terms) - 1
     assert not [pair for pair in calls if lc is pair[0] or lc is pair[1]]
+
+
+# -- the polynomial path: a denominator 1 is the shared ONE --------------------
+
+
+@given(scalars, scalars, st.lists(st.sampled_from(SYMBOLS), unique=True))
+def test_every_result_with_denominator_one_holds_the_shared_one(a, b, syms):
+    results = [a, b, a + b, a - b, a * b, -a]
+    if not b.is_zero:
+        results += [a / b, b.inverse()]
+    free = [sym for sym in syms if sym not in a.den.variables()]
+    results += split_symbols(a, free).values()
+    for r in results:
+        assert r.den is ONE or not r.den.is_one, r
+
+
+def test_a_denominator_that_settles_to_one_is_the_shared_one():
+    # the rational content divides each denominator down to 1
+    assert Scalar(Poly.symbol("x"), Poly.const(3)).den is ONE
+    assert parse_scalar("2/(x + 1)").inverse().den is ONE
+
+
+def test_polynomial_operands_skip_the_fraction_path(monkeypatch):
+    import ckexpand.poly
+
+    a, b = parse_scalar("w1*c1 + 2"), parse_scalar("c1 - 3*a1^2")
+    cases = (
+        (lambda x, y: x * y, "terms_mul", a.num * b.num),
+        (lambda x, y: x + y, "terms_add", a.num + b.num),
+        (lambda x, y: x - y, "terms_add", a.num - b.num),
+    )
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    # the module globals, so a wrapper installed there sees every product
+    for name in ("_cancel", "as_scalar", "terms_add", "terms_mul"):
+        monkeypatch.setattr(
+            ckexpand.poly, name, counted(name, getattr(ckexpand.poly, name))
+        )
+    monkeypatch.setattr(Scalar, "__init__", counted("init", Scalar.__init__))
+    for op, kernel, want in cases:
+        calls.clear()
+        got = op(a, b)
+        assert calls == [kernel]
+        assert got.num.terms == want.terms and got.den is ONE
+        assert got.value is None
 
 
 @given(polys, polys)
