@@ -12,13 +12,11 @@ polynomials to normal form.
 from __future__ import annotations
 
 import heapq
-import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import (
-    Poly, Scalar, TermSum, _coeff, add_term, as_scalar, grlex_key,
-    split_symbols,
+    Poly, Scalar, TermSum, add_term, as_scalar, grlex_key, monomial_content,
+    rational_content, split_symbols,
 )
 
 __all__ = [
@@ -78,15 +76,12 @@ class ParamPoly(TermSum):
 
     # -- arithmetic -------------------------------------------------------
 
-    def shift(self, exps, coeff) -> "ParamPoly":
-        """Multiply by coeff * (unknown monomial with exponents exps)."""
-        coeff = as_scalar(coeff)
-        if coeff.is_zero:
-            return ParamPoly(self.unknowns)
+    def shift(self, exps) -> "ParamPoly":
+        """Multiply by the unknown monomial with exponents exps."""
         return ParamPoly(
             self.unknowns,
             {
-                tuple(a + b for a, b in zip(k, exps)): v * coeff
+                tuple(a + b for a, b in zip(k, exps)): v
                 for k, v in self.terms.items()
             },
         )
@@ -139,20 +134,10 @@ class ParamPoly(TermSum):
         while dens:
             result = result.scale(Scalar(dens[0]))
             dens = [c.den for c in result.terms.values() if not c.den.is_one]
-        polys = [c.num for c in result.terms.values()]
-        # common rational content
-        content = polys[0].content()
-        for p in polys[1:]:
-            content = _coeff(Fraction(
-                math.gcd(content.numerator, p.content().numerator),
-                math.lcm(content.denominator, p.content().denominator),
-            ))
-        # common monomial content
-        common = dict(polys[0].mono_content())
-        for p in polys[1:]:
-            here = dict(p.mono_content())
-            common = {s: min(e, here[s]) for s, e in common.items() if s in here}
-        divisor = Scalar(Poly({tuple(sorted(common.items())): content}))
+        nums = [c.num.terms for c in result.terms.values()]
+        content = rational_content(q for t in nums for q in t.values())
+        common = monomial_content(m for t in nums for m in t)
+        divisor = Scalar(Poly({common: content}))
         result = result.scale(divisor.inverse())
         _, lc = result.leading()
         if lc.num.leading()[1] < 0:
@@ -210,12 +195,13 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
 
 
 def _spoly(f: ParamPoly, g: ParamPoly) -> ParamPoly:
-    fk, fc = f.leading()
-    gk, gc = g.leading()
+    """S-polynomial of two monic ParamPolys (every basis element is)."""
+    fk = f.leading()[0]
+    gk = g.leading()[0]
     lcm = tuple(max(a, b) for a, b in zip(fk, gk))
-    return f.shift(
-        tuple(l - a for l, a in zip(lcm, fk)), fc.inverse()
-    ) - g.shift(tuple(l - a for l, a in zip(lcm, gk)), gc.inverse())
+    return f.shift(tuple(l - a for l, a in zip(lcm, fk))) - g.shift(
+        tuple(l - a for l, a in zip(lcm, gk))
+    )
 
 
 class RelationIdeal(NamedTuple):

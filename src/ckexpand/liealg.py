@@ -19,7 +19,7 @@ import itertools
 from typing import NamedTuple
 
 from .poly import (
-    Scalar, ScalarDivisionError, add_term, as_scalar, split_symbols,
+    SYMBOL, Scalar, ScalarDivisionError, add_term, as_scalar, split_symbols,
 )
 
 __all__ = [
@@ -157,6 +157,9 @@ class LieAlgebra:
             raise ValueError(
                 f"definition must be a JSON object, not {type(data).__name__}"
             )
+        name = data.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ValueError("'name' must be a string")
         labels = data.get("generators")
         if not isinstance(labels, list) or not all(
             isinstance(label, str) for label in labels
@@ -172,6 +175,9 @@ class LieAlgebra:
             isinstance(p, str) for p in parameters
         ):
             raise ValueError("'parameters' must be a list of symbols")
+        for symbol in (*generators, *parameters):
+            if not SYMBOL.fullmatch(symbol):
+                raise ValueError(f"{symbol!r} is not a symbol like H or w1")
         table = data.get("brackets", {})
         if not isinstance(table, dict):
             raise ValueError("'brackets' must be a JSON object")
@@ -203,7 +209,7 @@ class LieAlgebra:
                 combo = {n: -c for n, c in combo.items()}
             brackets[(i, j)] = {index[n]: c for n, c in combo.items()}
         return cls(
-            data.get("name", "unnamed"),
+            name,
             generators,
             brackets,
             parameters=tuple(parameters),

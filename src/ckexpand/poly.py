@@ -12,22 +12,25 @@ arithmetic; ``Fraction(2) == 2`` and the two hash equally, so either form
 of an integral value compares and prints the same.  Floats are refused.
 Polynomial values are immutable after construction and canonical, so
 equality is structural.
-Fractions (``Scalar``) are normalized by monomial and rational content,
+Fractions (``Scalar``) are normalized by monomial and rational content
+(``monomial_content`` and ``rational_content``, the one content rule),
 with full cancellation applied only when one side exactly divides the
 other: there is no polynomial gcd, so the form is not canonical and
 equality is defined by cross-multiplication.  A Scalar whose value is a
 polynomial holds the shared ``ONE`` as its denominator, and only such a
-Scalar does, so ``den is ONE`` picks the path: a sum or product of two
-polynomials is one ``terms_add`` or ``terms_mul`` of the numerators,
-already normal, and only a real denominator takes the fraction rules.
+Scalar does; a constant carries its rational ``value``.  ``_build`` is
+the one constructor of a Scalar in that form, and ``_settle`` the one
+rule that brings another pair into it.  ``den is ONE`` picks the path:
+a sum or product of two polynomials is one ``terms_add`` or
+``terms_mul`` of the numerators, constant arithmetic skips the
+polynomials, and only a real denominator takes the fraction rules.
 To keep shared factors from swelling, a sum goes over the larger
 denominator when one divides the other, and a product first cancels each
 numerator against the other denominator where one divides the other.
-Such a division is tried only when both polynomials have two or more
-terms: once the monomial content is out, a one-term side divides nothing
-or is a constant, which the rational content takes out.  A constant
-carries its rational ``value``, so constant arithmetic skips the
-polynomials.
+Such a division, one range-checked long division with no monomial fast
+path, is tried only when both polynomials have two or more terms: once
+the monomial content is out, a one-term side divides nothing or is a
+constant, which the rational content takes out.
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -53,6 +56,7 @@ from .kernel import terms_add, terms_mul, terms_neg, terms_scale
 
 __all__ = [
     "Poly",
+    "SYMBOL",
     "Scalar",
     "ScalarDivisionError",
     "TermSum",
@@ -60,20 +64,15 @@ __all__ = [
     "as_scalar",
     "exact_div",
     "grlex_key",
+    "monomial_content",
     "parse_scalar",
+    "rational_content",
     "split_symbols",
 ]
 
 
 class ScalarDivisionError(ZeroDivisionError):
     """Division by a zero polynomial fraction."""
-
-
-def _dense(mono, frame_index):
-    vec = [0] * len(frame_index)
-    for sym, exp in mono:
-        vec[frame_index[sym]] = exp
-    return tuple(vec)
 
 
 def _graded(mono, index):
@@ -103,6 +102,32 @@ def _coeff(q):
             )
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
+
+
+def rational_content(coeffs):
+    """Positive rational content of coeffs: the gcd of the numerators over
+    the lcm of the denominators; 1 when there are none."""
+    num = 0
+    den = 1
+    for coeff in coeffs:
+        num = math.gcd(num, coeff.numerator)
+        den = math.lcm(den, coeff.denominator)
+    return _coeff(Fraction(num, den)) if num else 1
+
+
+def monomial_content(monos):
+    """Largest monomial dividing every monomial of monos; () when none."""
+    it = iter(monos)
+    try:
+        common = dict(next(it))
+    except StopIteration:
+        return ()
+    for mono in it:
+        if not common:
+            break
+        here = dict(mono)
+        common = {s: min(e, here[s]) for s, e in common.items() if s in here}
+    return tuple(sorted(common.items()))
 
 
 _ONE_TERMS = {(): 1}
@@ -146,38 +171,18 @@ class Poly:
 
     def content(self):
         """Positive rational content (gcd of all coefficients)."""
-        if not self.terms:
-            return 1
-        num = 0
-        den = 1
-        for coeff in self.terms.values():
-            num = math.gcd(num, coeff.numerator)
-            den = math.lcm(den, coeff.denominator)
-        return _coeff(Fraction(num, den))
+        return rational_content(self.terms.values())
 
     def mono_content(self):
         """Largest monomial dividing every term."""
-        it = iter(self.terms)
-        try:
-            common = dict(next(it))
-        except StopIteration:
-            return ()
-        for mono in it:
-            if not common:
-                break
-            here = dict(mono)
-            common = {
-                s: min(e, here[s]) for s, e in common.items() if s in here
-            }
-        return tuple(sorted(common.items()))
+        return monomial_content(self.terms)
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if len(self.terms) == 1:
             return next(iter(self.terms.items()))
-        frame = self.variables()
-        idx = {s: i for i, s in enumerate(frame)}
-        mono = max(self.terms, key=lambda m: grlex_key(_dense(m, idx)))
+        index = {s: i for i, s in enumerate(self.variables(), 1)}
+        mono = max(self.terms, key=lambda m: _graded(m, index))
         return mono, self.terms[mono]
 
     # -- arithmetic -------------------------------------------------------
@@ -262,11 +267,10 @@ class Poly:
     # -- printing ---------------------------------------------------------
 
     def _sorted_terms(self):
-        frame = self.variables()
-        idx = {s: i for i, s in enumerate(frame)}
+        index = {s: i for i, s in enumerate(self.variables(), 1)}
         return sorted(
             self.terms.items(),
-            key=lambda kv: grlex_key(_dense(kv[0], idx)),
+            key=lambda kv: _graded(kv[0], index),
             reverse=True,
         )
 
@@ -314,23 +318,14 @@ def exact_div(a: Poly, b: Poly):
     the highest total degree, add under multiplication, so a divisor whose
     ranges do not fit inside a's is refused before any division.  The long
     division runs on ``_graded`` keys in one frame, and each quotient term
-    must stay inside the ranges left for the quotient.
+    must stay inside the ranges left for the quotient.  There is no
+    monomial fast path: a monomial divisor just leaves no tail.
     """
     if b.is_zero:
         raise ScalarDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
     bt = b.terms
-    if len(bt) == 1:
-        ((bm, bc),) = bt.items()
-        for m in a.terms:
-            here = dict(m)
-            if any(here.get(s, 0) < e for s, e in bm):
-                return None
-        quot = Poly({_mono_div(m, bm): c for m, c in a.terms.items()})
-        return quot if bc == 1 else quot.scale(Fraction(1) / bc)
-    if len(a.terms) == 1:
-        return None  # the divisors of a monomial are monomials
     frame = a.variables()
     index = {s: i for i, s in enumerate(frame, 1)}
     try:
@@ -395,25 +390,21 @@ def _value(terms):
     return None if terms else 0
 
 
-def _polynomial(terms) -> "Scalar":
-    """The Scalar of a polynomial's canonical terms, built without
-    normalising: a polynomial is already normal."""
+def _build(num: Poly, den: Poly, value) -> "Scalar":
+    """The Scalar num/den of a pair already in the normal form that
+    Scalar describes; the caller passes the value of a constant."""
     out = Scalar.__new__(Scalar)
-    out.num = Poly(terms)
-    out.den = ONE
-    out.value = _value(terms)
+    out.num = num
+    out.den = den
+    out.value = value
     return out
 
 
 def _constant(q) -> "Scalar":
-    """The Scalar of the int or Fraction q, built without normalising."""
-    out = Scalar.__new__(Scalar)
+    """The Scalar of the int or Fraction q."""
     if type(q) is not int:
         q = _coeff(q)
-    out.num = Poly({(): q}) if q else ZERO
-    out.den = ONE
-    out.value = q
-    return out
+    return _build(Poly({(): q}) if q else ZERO, ONE, q)
 
 
 class Scalar:
@@ -429,34 +420,22 @@ class Scalar:
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero:
             raise ScalarDivisionError("zero denominator")
-        terms = num.terms
-        if not terms or den.is_one:
-            # a polynomial is already normalized
-            self.num = num
-            self.den = ONE
-            self.value = _value(terms)
-            return
-        # cancel common monomial content
-        nc = dict(num.mono_content())
-        common = tuple(
-            sorted(
-                (s, min(e, nc[s]))
-                for s, e in den.mono_content()
-                if s in nc
-            )
-        )
-        if common:
-            num = Poly(
-                {_mono_div(m, common): c for m, c in num.terms.items()}
-            )
-            den = Poly(
-                {_mono_div(m, common): c for m, c in den.terms.items()}
-            )
-        num, den = _cancel(num, den)
+        if not num.terms:
+            den = ONE
+        elif not den.is_one:
+            # cancel the monomial content that num and den share
+            common = monomial_content([*num.terms, *den.terms])
+            if common:
+                num, den = (
+                    Poly({_mono_div(m, common): c for m, c in p.terms.items()})
+                    for p in (num, den)
+                )
+            num, den = _cancel(num, den)
         self._settle(num, den)
 
     def _settle(self, num: Poly, den: Poly):
-        # denominator content 1 with positive leading coefficient
+        # denominator content 1 with positive leading coefficient; a
+        # denominator 1 leaves a polynomial
         if not den.is_one:
             c = den.content()
             if den.leading()[1] < 0:
@@ -503,9 +482,8 @@ class Scalar:
         ad, bd = self.den, other.den
         if ad is ONE and bd is ONE:
             b = other.num.terms
-            return _polynomial(
-                terms_add(self.num.terms, terms_neg(b) if negate else b)
-            )
+            terms = terms_add(self.num.terms, terms_neg(b) if negate else b)
+            return _build(Poly(terms), ONE, _value(terms))
         a, b = self.num, -other.num if negate else other.num
         if ad == bd:
             return Scalar(a + b, ad)
@@ -534,11 +512,8 @@ class Scalar:
 
     def __neg__(self):
         # negation keeps a normalized (num, den) normalized
-        out = Scalar.__new__(Scalar)
-        out.num = -self.num
-        out.den = self.den
-        out.value = None if self.value is None else -self.value
-        return out
+        q = self.value
+        return _build(-self.num, self.den, None if q is None else -q)
 
     def _scaled(self, q):
         # a nonzero constant changes neither the monomial content nor
@@ -551,11 +526,7 @@ class Scalar:
             return -self
         if not q:
             return _constant(0)
-        out = Scalar.__new__(Scalar)
-        out.num = Poly(terms_scale(self.num.terms, q))
-        out.den = self.den
-        out.value = None
-        return out
+        return _build(Poly(terms_scale(self.num.terms, q)), self.den, None)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -574,7 +545,8 @@ class Scalar:
             a, d = _cancel(a, d)
             c, b = _cancel(c, b)
         if b is ONE and d is ONE:
-            return _polynomial(terms_mul(a.terms, c.terms))
+            terms = terms_mul(a.terms, c.terms)
+            return _build(Poly(terms), ONE, _value(terms))
         return Scalar(a * c, b * d)
 
     __rmul__ = __mul__
@@ -747,8 +719,11 @@ def split_symbols(value: Scalar, symbols) -> dict:
             else:
                 exps[i] = e
         groups.setdefault(tuple(exps), {})[tuple(rest)] = coeff
+    den = value.den
     return {
-        exps: Scalar(Poly(terms), value.den) for exps, terms in groups.items()
+        exps: _build(Poly(terms), ONE, _value(terms)) if den is ONE
+        else Scalar(Poly(terms), den)
+        for exps, terms in groups.items()
     }
 
 
@@ -767,8 +742,10 @@ def as_scalar(value):
 
 # -- expression parsing ----------------------------------------------------
 
+# a symbol of the expression grammar: generator labels and parameters too
+SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<sym>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<int>\d+)|(?P<sym>{SYMBOL.pattern})|(?P<op>[-+*/^()]))"
 )
 
 

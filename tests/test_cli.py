@@ -317,6 +317,18 @@ MALFORMED = {
         {"generators": ["H", "P1"], "brackets": {"[H,P1]": "H*P1"}},
         "'[H,P1]'",
     ),
+    "name-number": (
+        {"name": 5, "generators": ["H", "P1"], "brackets": {}},
+        "'name' must",
+    ),
+    "label-not-a-symbol": (
+        {"generators": ["H", "P-1"], "brackets": {"[H,P-1]": "H"}},
+        "'P-1' is not a symbol",
+    ),
+    "parameter-not-a-symbol": (
+        {"generators": ["H", "P1"], "parameters": ["x y"], "brackets": {}},
+        "'x y' is not a symbol",
+    ),
     "repeated-pair": (
         {
             "generators": ["H", "P1"],

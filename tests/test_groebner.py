@@ -267,7 +267,7 @@ def test_other_generators_of_the_same_ideal_give_the_same_basis():
     ideal = groebner_basis(gens, AB)
     # each generator scaled by a parameter, and a multiple appended
     scaled = [g.scale(parse_scalar("w1 + 1")) for g in gens]
-    extended = [*gens, gens[0].shift((1, 1), parse_scalar("c2"))]
+    extended = [*gens, gens[0].shift((1, 1)).scale(parse_scalar("c2"))]
     for other in (scaled, extended):
         same = groebner_basis(other, AB)
         assert list(same.groebner) == list(ideal.groebner)

@@ -1,7 +1,9 @@
 """Exact polynomial and fraction-field arithmetic."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,6 @@ from ckexpand.poly import (
     Poly,
     Scalar,
     ScalarDivisionError,
-    _dense,
     add_term,
     as_scalar,
     exact_div,
@@ -412,8 +413,45 @@ def test_every_result_with_denominator_one_holds_the_shared_one(a, b, syms):
         results += [a / b, b.inverse()]
     free = [sym for sym in syms if sym not in a.den.variables()]
     results += split_symbols(a, free).values()
+    factors = (1, -1, 0, 3, Fraction(-2, 3))
+    results += [a * q for q in factors]
+    if a.value is None:  # _scaled is only called on a non-constant
+        results += [a._scaled(q) for q in factors]
     for r in results:
         assert r.den is ONE or not r.den.is_one, r
+        if r.den is ONE and set(r.num.terms) <= {()}:
+            assert r.value == r.num.terms.get((), 0), r
+        else:
+            assert r.value is None, r
+        if r.den is not ONE:
+            assert r.den.content() == 1 and r.den.leading()[1] > 0, r
+
+
+def test_only_the_builder_and_settle_fill_a_scalar():
+    # the invariant that den is ONE exactly for a polynomial, and value is
+    # set exactly for a constant, is written in _build and _settle alone:
+    # every bare Scalar comes from _build, except that inverse settles one
+    import ckexpand.poly
+
+    tree = ast.parse(Path(ckexpand.poly.__file__).read_text())
+    made, filled = [], []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute):
+                    if node.attr == "__new__":
+                        made.append(fn.name)
+                    elif node.attr in ("num", "den", "value") and isinstance(
+                        node.ctx, ast.Store
+                    ):
+                        filled.append(fn.name)
+    everywhere = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert len(made) == len(everywhere)
+    assert sorted(made) == ["_build", "inverse"]
+    assert set(filled) == {"_build", "_settle"}
 
 
 def test_a_denominator_that_settles_to_one_is_the_shared_one():
@@ -489,9 +527,14 @@ def test_floats_are_refused():
 
 @given(polys.filter(lambda p: not p.is_zero))
 def test_leading_matches_the_dense_frame_formula(a):
-    idx = {s: i for i, s in enumerate(a.variables())}
-    mono = max(a.terms, key=lambda m: grlex_key(_dense(m, idx)))
+    def dense(mono):
+        exps = dict(mono)
+        return tuple(exps.get(s, 0) for s in a.variables())
+
+    mono = max(a.terms, key=lambda m: grlex_key(dense(m)))
     assert a.leading() == (mono, a.terms[mono])
+    order = sorted(a.terms, key=lambda m: grlex_key(dense(m)), reverse=True)
+    assert [m for m, _ in a._sorted_terms()] == order
 
 
 def test_exact_division_rejects_remainder():
