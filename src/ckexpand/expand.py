@@ -300,11 +300,37 @@ def _bracket_diff(problem, primed, i, j):
     return UEAElement(g, terms)
 
 
-def _remainder_equations(remainder: UEAElement, pair: str):
+def _per_coefficient(fn):
+    """fn, computed once for each structurally equal coefficient.
+
+    Two coefficients are the same when their numerator and denominator
+    Polys are; Scalar == is not used, because a Scalar is not canonical
+    and equal values can print differently.
+    """
+    memo = {}
+
+    def once(coeff: Scalar):
+        key = (coeff.num, coeff.den)
+        if key not in memo:
+            memo[key] = fn(coeff)
+        return memo[key]
+
+    return once
+
+
+def _equation(coeff: Scalar) -> ParamPoly:
+    """coeff as a polynomial in the unknowns, normalized unless it is a
+    constant (which keeps its value for the error message)."""
+    pp = ParamPoly.from_scalar(coeff, UNKNOWNS)
+    return pp.normalized() if pp.total_degree() > 0 else pp
+
+
+def _remainder_equations(remainder: UEAElement, pair: str, equation):
+    """The equations of one remainder, by ``equation``, a
+    ``_per_coefficient(_equation)`` shared by the pairs of one arrow."""
     eqs = []
     for exps in sorted(remainder.terms, key=grlex_key, reverse=True):
-        coeff = remainder.terms[exps]
-        pp = ParamPoly.from_scalar(coeff, UNKNOWNS)
+        pp = equation(remainder.terms[exps])
         if pp.is_zero:
             continue
         if pp.total_degree() == 0:
@@ -312,7 +338,7 @@ def _remainder_equations(remainder: UEAElement, pair: str):
                 f"bracket {pair} requires the nonzero constant "
                 f"{pp.constant_part()} to vanish"
             )
-        eqs.append(pp.normalized())
+        eqs.append(pp)
     return eqs
 
 
@@ -330,6 +356,11 @@ def _constraint_ideal(eq_lists):
         for eq in eqs:
             if not any(eq.proportional_to(known) for known in raw):
                 raw.append(eq)
+    return _checked_basis(raw)
+
+
+def _checked_basis(raw):
+    """Groebner basis of the equations raw, each checked to reduce to zero."""
     ideal = groebner_basis(raw, UNKNOWNS)
     for eq in raw:
         if not reduce_mod_ideal(eq, ideal).is_zero:
@@ -363,11 +394,13 @@ def derive_constraints(problem: ExpansionProblem, primed):
     """
     g = problem.initial
     remainders, witnesses = _pair_remainders(problem, primed)
+    equation = _per_coefficient(_equation)
     per_pair = {}
     for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
         per_pair[pair] = (
-            [] if remainder is None else _remainder_equations(remainder, pair)
+            [] if remainder is None
+            else _remainder_equations(remainder, pair, equation)
         )
     ideal = _constraint_ideal(per_pair.values())
     return ideal, per_pair, remainders, witnesses
@@ -502,6 +535,11 @@ def verify_expansion(problem, hypothesis, constraints, remainders):
     """
     g = problem.initial
     k_set = set(hypothesis.k_labels)
+    normal_form = _per_coefficient(
+        lambda coeff: reduce_mod_ideal(
+            ParamPoly.from_scalar(coeff, UNKNOWNS), constraints
+        )
+    )
     verdicts = []
     all_ok = True
     for (i, j), remainder in remainders.items():
@@ -512,10 +550,8 @@ def verify_expansion(problem, hypothesis, constraints, remainders):
             verdicts.append(BracketVerdict(pair, klass, "exact", True))
             continue
         residuals = []
-        for exps, coeff in remainder.terms.items():
-            nf = reduce_mod_ideal(
-                ParamPoly.from_scalar(coeff, UNKNOWNS), constraints
-            )
+        for coeff in remainder.terms.values():
+            nf = normal_form(coeff)
             if not nf.is_zero:
                 residuals.append(str(nf))
         ok = not residuals
@@ -605,9 +641,9 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     report.per_pair = per_pair
     report.remainders = remainders
     report.witnesses = witnesses
-    # order-independence: the equations in reversed pair order must
-    # generate the same ideal
-    ideal_rev = _constraint_ideal(reversed(list(per_pair.values())))
+    # order-independence: the deduplicated equations in reversed order
+    # must generate the same ideal
+    ideal_rev = _checked_basis(list(reversed(ideal.generators)))
     report.order_independent = ideal_equals(ideal, ideal_rev)
     verdicts, all_ok = verify_expansion(problem, hyp, ideal, remainders)
     report.brackets = verdicts

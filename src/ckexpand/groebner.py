@@ -223,11 +223,14 @@ class RelationIdeal(NamedTuple):
 def groebner_basis(gens, unknowns) -> RelationIdeal:
     """Reduced Groebner basis under the frozen graded-lex order.
 
-    Buchberger's algorithm with the product and chain criteria: the pending
-    pair with the smallest lcm of leading monomials goes first (ties by
-    index), a pair with coprime leading monomials is skipped, and so is a
-    pair whose lcm a third leading monomial divides when that element's
-    pairs with both are already treated.
+    Buchberger's algorithm with the product and chain criteria.  Each
+    input generator is first reduced against the basis built so far and
+    dropped when it reduces to zero, so a generator that lies in the ideal
+    of the earlier ones forms no S-pair.  The pending pair with the
+    smallest lcm of leading monomials goes first (ties by index), a pair
+    with coprime leading monomials is skipped, and so is a pair whose lcm
+    a third leading monomial divides when that element's pairs with both
+    are already treated.  ``generators`` keeps every nonzero input.
     """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
@@ -251,7 +254,12 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
             pending.add((i, j))
 
     for p in polys:
-        add(p)
+        # p and its remainder generate the same ideal together with the
+        # basis so far, and a zero remainder adds nothing
+        if basis:
+            p = _reduce(p, basis)
+        if not p.is_zero:
+            add(p)
     while heap:
         (_, lcm), i, j = heapq.heappop(heap)
         pending.discard((i, j))

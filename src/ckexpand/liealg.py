@@ -178,6 +178,14 @@ class LieAlgebra:
         for symbol in (*generators, *parameters):
             if not SYMBOL.fullmatch(symbol):
                 raise ValueError(f"{symbol!r} is not a symbol like H or w1")
+        declared = set(parameters)
+        for symbol in parameters:
+            if parameters.count(symbol) > 1:
+                raise ValueError(f"'parameters' lists {symbol!r} twice")
+            if symbol in index:
+                raise ValueError(
+                    f"'parameters' lists {symbol!r}, which is a generator"
+                )
         table = data.get("brackets", {})
         if not isinstance(table, dict):
             raise ValueError("'brackets' must be a JSON object")
@@ -196,9 +204,16 @@ class LieAlgebra:
             if not isinstance(expr, str):
                 raise ValueError(f"bracket {key!r}: value must be a string")
             try:
-                combo = _linear_combo(as_scalar(expr), generators)
+                value = as_scalar(expr)
+                combo = _linear_combo(value, generators)
             except (ValueError, ScalarDivisionError) as exc:
                 raise ValueError(f"bracket {key!r}: {exc}") from None
+            for symbol in value.variables():
+                if symbol not in index and symbol not in declared:
+                    raise ValueError(
+                        f"bracket {key!r}: {symbol!r} is not declared in "
+                        "'parameters'"
+                    )
             i, j = index[x], index[y]
             if i == j:
                 raise ValueError(f"self-bracket {key!r} must not be given")

@@ -329,6 +329,20 @@ MALFORMED = {
         {"generators": ["H", "P1"], "parameters": ["x y"], "brackets": {}},
         "'x y' is not a symbol",
     ),
+    "parameter-twice": (
+        {"generators": ["H", "P1"], "parameters": ["w1", "w1"],
+         "brackets": {"[H,P1]": "w1*P1"}},
+        "'parameters' lists 'w1' twice",
+    ),
+    "parameter-named-like-a-generator": (
+        {"generators": ["H", "P1"], "parameters": ["H"], "brackets": {}},
+        "'parameters' lists 'H', which is a generator",
+    ),
+    "undeclared-parameter": (
+        {"generators": ["H", "P1"], "parameters": [],
+         "brackets": {"[H,P1]": "q*P1"}},
+        "bracket '[H,P1]': 'q' is not declared in 'parameters'",
+    ),
     "repeated-pair": (
         {
             "generators": ["H", "P1"],

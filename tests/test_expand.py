@@ -21,6 +21,7 @@ from ckexpand.expand import (
     make_problem,
     run_atlas,
     run_expansion,
+    verify_expansion,
     verify_with_values,
     _bracket_diff,
     _split_linear,
@@ -460,6 +461,78 @@ def test_order_independence_is_still_checked(monkeypatch):
     assert len(calls) == 2
     assert report.order_independent is False
     assert report.verdict == "fail"
+
+
+def test_the_reverse_run_sees_the_generators_reversed(monkeypatch):
+    import ckexpand.expand
+
+    seen = []
+    original = ckexpand.expand.groebner_basis
+
+    def recorded(gens, unknowns):
+        seen.append([str(g) for g in gens])
+        return original(gens, unknowns)
+
+    monkeypatch.setattr(ckexpand.expand, "groebner_basis", recorded)
+    reports = [r for r in run_atlas() if r.constraints is not None]
+    assert len(seen) == 2 * len(reports) == 24
+    for k in range(0, len(seen), 2):
+        forward, backward = seen[k], seen[k + 1]
+        assert backward == forward[::-1]
+    # the six axis-2 arrows have two equations each, so their reverse run
+    # sees another order (the pair order reversed gave the same list on
+    # four of them)
+    assert sum(seen[k] != seen[k + 1] for k in range(0, len(seen), 2)) == 6
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
+    # a guard on the Groebner work of one atlas pass: generators are
+    # reduced on entry, so a generator that lies in the ideal of the
+    # earlier ones forms no S-pair; reducing every input pairwise instead
+    # takes 32 S-polynomials and 168 reductions
+    import ckexpand.groebner
+
+    spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
+    reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
+    run_atlas()
+    assert (len(spolys), len(reductions)) == (24, 140)
+
+
+def test_each_distinct_coefficient_is_normalized_and_reduced_once(
+        monkeypatch):
+    import ckexpand.expand
+
+    # [P1,P2] and [K1,K2] give the same equations: 8 remainder
+    # coefficients, 2 distinct ones
+    problem = make_problem("nh-plus", 2, 1)
+    report = run_expansion(problem)
+    coeffs = [c for r in report.remainders.values() if r is not None
+              for c in r.terms.values()]
+    assert len(coeffs) == 8
+    normalized = count_calls(monkeypatch, ParamPoly, "normalized")
+    ideal, per_pair, remainders, _ = derive_constraints(
+        problem, report.primed)
+    assert len(normalized) == 2
+    assert {p: [str(e) for e in eqs] for p, eqs in per_pair.items()} == {
+        p: [str(e) for e in eqs] for p, eqs in report.per_pair.items()
+    }
+    reductions = count_calls(monkeypatch, ckexpand.expand, "reduce_mod_ideal")
+    verdicts, ok = verify_expansion(
+        problem, report.hypothesis, ideal, remainders)
+    assert len(reductions) == 2
+    assert ok and verdicts == report.brackets
 
 
 def test_bound_0_passes():

@@ -242,10 +242,24 @@ def test_redundant_generator_is_dropped_in_one_pass(monkeypatch):
         "a1 + w1",
         "a2^2 + ((-w1)/(c1))*a2",
     ]
-    # one reduction per S-pair, then one per element of the reduced basis;
-    # the redundant generator is dropped without being reduced
-    assert len(spolys) == 1
-    assert len(reductions) == len(spolys) + len(ideal.groebner)
+    # the second generator is reduced on entry to c1*a2^2 - w1*a2, whose
+    # leading monomial is coprime to a1, so no S-pair is formed; then one
+    # reduction per element of the reduced basis
+    assert len(spolys) == 0
+    assert len(reductions) == 1 + len(ideal.groebner) == 3
+
+
+def test_generator_in_the_ideal_of_the_earlier_ones_forms_no_s_pair(
+        monkeypatch):
+    spolys = count_calls(monkeypatch, "_spoly")
+    gens = [pp("a1 + w1"), pp("a2 + c1"), pp("(a1 + w1)*a2 + a2 + c1")]
+    ideal = groebner_basis(gens, AB)
+    assert [str(b) for b in ideal.groebner] == ["a2 + c1", "a1 + w1"]
+    # the third generator reduces to zero on entry and is dropped; the
+    # first two have coprime leading monomials
+    assert len(spolys) == 0
+    # generators keeps every nonzero input
+    assert list(ideal.generators) == gens
 
 
 # -- ideal_equals: the reduced bases compared as lists ------------------------
@@ -305,7 +319,8 @@ def generator_text(terms):
 @st.composite
 def systems(draw):
     """1-3 generators of degree <= 2 in (a1, a2), each with 1-3 terms whose
-    coefficients are integers or parameters."""
+    coefficients are integers or parameters, and sometimes a combination
+    of them appended, which reduces to zero on entry."""
     texts = []
     for _ in range(draw(st.integers(1, 3))):
         size = draw(st.integers(1, 3))
@@ -313,6 +328,9 @@ def systems(draw):
                               max_size=size, unique=True))
         coeffs = st.one_of(INTEGERS, PARAMETERS)
         texts.append(generator_text({m: draw(coeffs) for m in monos}))
+    if draw(st.booleans()):
+        factors = st.sampled_from(["1", "-2", "w1", "c1 + 1", "a1", "a2"])
+        texts.append(" + ".join(f"({draw(factors)})*({t})" for t in texts))
     return texts
 
 
