@@ -356,16 +356,16 @@ def _constraint_ideal(eq_lists):
         for eq in eqs:
             if not any(eq.proportional_to(known) for known in raw):
                 raw.append(eq)
-    return _checked_basis(raw)
-
-
-def _checked_basis(raw):
-    """Groebner basis of the equations raw, each checked to reduce to zero."""
     ideal = groebner_basis(raw, UNKNOWNS)
-    for eq in raw:
+    _check_members(ideal)
+    return ideal
+
+
+def _check_members(ideal):
+    """Raise unless every generator of ideal reduces to zero modulo it."""
+    for eq in ideal.generators:
         if not reduce_mod_ideal(eq, ideal).is_zero:
             raise InconsistentSystemError("generator does not reduce to zero")
-    return ideal
 
 
 def _pair_remainders(problem: ExpansionProblem, primed):
@@ -642,9 +642,13 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     report.remainders = remainders
     report.witnesses = witnesses
     # order-independence: the deduplicated equations in reversed order
-    # must generate the same ideal
-    ideal_rev = _checked_basis(list(reversed(ideal.generators)))
+    # must generate the same ideal.  They all reduce to zero modulo ideal,
+    # so their check against the reverse basis repeats that answer unless
+    # the two bases differ
+    ideal_rev = groebner_basis(list(reversed(ideal.generators)), UNKNOWNS)
     report.order_independent = ideal_equals(ideal, ideal_rev)
+    if not report.order_independent:
+        _check_members(ideal_rev)
     verdicts, all_ok = verify_expansion(problem, hyp, ideal, remainders)
     report.brackets = verdicts
     report.verdict = "pass" if all_ok and report.order_independent else "fail"

@@ -125,7 +125,7 @@ class ParamPoly(TermSum):
         repeated one is cleared once.  A factor that two different
         denominators share stays behind as a common factor of the
         coefficients: removing it waits on a polynomial gcd (ROADMAP
-        direction 4).
+        direction 3).
         """
         if self.is_zero:
             return self

@@ -27,10 +27,16 @@ polynomials, and only a real denominator takes the fraction rules.
 To keep shared factors from swelling, a sum goes over the larger
 denominator when one divides the other, and a product first cancels each
 numerator against the other denominator where one divides the other.
-Such a division, one range-checked long division with no monomial fast
-path, is tried only when both polynomials have two or more terms: once
-the monomial content is out, a one-term side divides nothing or is a
-constant, which the rational content takes out.
+``_either_div`` tests both directions of such a pair at once: one frame,
+one set of ``_graded`` keys and exponent ranges, then a range-checked
+long division with no monomial fast path.  It is tried only when both
+polynomials have two or more terms: once the monomial content is out, a
+one-term side divides nothing or is a constant, which the rational
+content takes out.  Every real denominator has content 1 and a positive
+leading coefficient, and by Gauss's lemma so has a product of them, also
+with a shared monomial divided out; so a sum or product whose
+denominator no division replaced skips that content and sign pass
+(``_over``).
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -311,34 +317,12 @@ def _mono_div(mono, content):
     return tuple(out)
 
 
-def exact_div(a: Poly, b: Poly):
-    """Exact quotient a/b as a Poly, or None when b does not divide a.
-
-    The lowest and the highest exponent of each symbol, and the lowest and
-    the highest total degree, add under multiplication, so a divisor whose
-    ranges do not fit inside a's is refused before any division.  The long
-    division runs on ``_graded`` keys in one frame, and each quotient term
-    must stay inside the ranges left for the quotient.  There is no
-    monomial fast path: a monomial divisor just leaves no tail.
-    """
-    if b.is_zero:
-        raise ScalarDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ZERO
-    bt = b.terms
-    frame = a.variables()
-    index = {s: i for i, s in enumerate(frame, 1)}
-    try:
-        bkeys = [_graded(m, index) for m in bt]
-    except KeyError:
-        return None  # b has a symbol that a lacks
-    akeys = [_graded(m, index) for m in a.terms]
-    lo = list(map(sub, map(min, zip(*akeys)), map(min, zip(*bkeys))))
-    hi = list(map(sub, map(max, zip(*akeys)), map(max, zip(*bkeys))))
-    if min(lo) < 0 or any(map(gt, lo, hi)):
-        return None
-    rem = dict(zip(akeys, a.terms.values()))
-    divisor = sorted(zip(bkeys, bt.values()), reverse=True)
+def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
+    """The quotient a/b of the long division on ``_graded`` keys, or None
+    when a quotient term leaves the exponent ranges lo..hi or a remainder
+    stays."""
+    rem = dict(zip(akeys, acoeffs))
+    divisor = sorted(zip(bkeys, bcoeffs), reverse=True)
     bkey, bc = divisor[0]
     tail = divisor[1:]
     exact = type(bc) is int
@@ -364,23 +348,65 @@ def exact_div(a: Poly, b: Poly):
     return Poly(quot)
 
 
+def _either_div(a: Poly, b: Poly, both=True):
+    """(a/b, False) when b divides a, else (b/a, True) when both is set and
+    a divides b, else (None, False); a and b are nonzero.
+
+    Both directions share one frame, the union of the two variable sets,
+    and one set of ``_graded`` keys and exponent ranges.  The lowest and
+    the highest exponent of each symbol, and the lowest and the highest
+    total degree, add under multiplication, so a divisor whose ranges do
+    not fit inside the dividend's is refused before any division; a
+    symbol that only the divisor has is such a range.  The long division
+    keeps each quotient term inside the ranges left for the quotient.
+    """
+    frame = sorted({s for p in (a, b) for m in p.terms for s, _ in m})
+    index = {s: i for i, s in enumerate(frame, 1)}
+    sides = []
+    for p in (a, b):
+        keys = [_graded(m, index) for m in p.terms]
+        sides.append((keys, p.terms.values(),
+                      list(map(min, zip(*keys))), list(map(max, zip(*keys)))))
+    for flipped in (False, True) if both else (False,):
+        (nkeys, ncoeffs, nlo, nhi), (dkeys, dcoeffs, dlo, dhi) = (
+            sides[::-1] if flipped else sides
+        )
+        lo, hi = list(map(sub, nlo, dlo)), list(map(sub, nhi, dhi))
+        if min(lo) < 0 or any(map(gt, lo, hi)):
+            continue
+        q = _long_div(nkeys, ncoeffs, dkeys, dcoeffs, lo, hi, frame)
+        if q is not None:
+            return q, flipped
+    return None, False
+
+
+def exact_div(a: Poly, b: Poly):
+    """Exact quotient a/b as a Poly, or None when b does not divide a.
+
+    One direction of ``_either_div``.  There is no monomial fast path: a
+    monomial divisor just leaves no tail.
+    """
+    if b.is_zero:
+        raise ScalarDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return ZERO
+    return _either_div(a, b, False)[0]
+
+
 def _cancel(num: Poly, den: Poly):
     """(num, den) with whichever side exactly divides the other divided out.
 
     Only a pair of two polynomials of two or more terms is tried: the
     callers have removed the common monomial content (or leave it to
-    ``Scalar.__init__``), after which a one-term side either divides
+    ``_unshared`` later), after which a one-term side either divides
     nothing or is a constant, and ``_settle`` divides out a constant.
     """
     if len(num.terms) < 2 or len(den.terms) < 2:
         return num, den
-    q = exact_div(num, den)
-    if q is not None:
-        return q, ONE
-    q = exact_div(den, num)
-    if q is not None:
-        return ONE, q
-    return num, den
+    q, flipped = _either_div(num, den)
+    if q is None:
+        return num, den
+    return (ONE, q) if flipped else (q, ONE)
 
 
 def _value(terms):
@@ -398,6 +424,38 @@ def _build(num: Poly, den: Poly, value) -> "Scalar":
     out.den = den
     out.value = value
     return out
+
+
+def _unshared(num: Poly, den: Poly):
+    """num and den with the monomial content they share divided out."""
+    common = monomial_content([*num.terms, *den.terms])
+    if not common:
+        return num, den
+    return tuple(
+        Poly({_mono_div(m, common): c for m, c in p.terms.items()})
+        for p in (num, den)
+    )
+
+
+def _over(num: Poly, den: Poly) -> "Scalar":
+    """The Scalar num/den, for a den that is a product of one or more
+    Scalar denominators.
+
+    Such a den has content 1 and a positive leading coefficient: by Gauss's
+    lemma a product of primitive integer polynomials is primitive, and
+    lt(f*g) = lt(f)*lt(g).  Dividing out a shared monomial keeps both, so
+    unless ``_cancel`` replaces den by a quotient, the content and sign
+    pass of ``_settle`` would change nothing and is skipped.
+    """
+    if not num.terms:
+        return _constant(0)
+    num, den = _unshared(num, den)
+    num, cut = _cancel(num, den)
+    if cut is not den:
+        return Scalar(num, cut)
+    if den.is_one:
+        return _build(num, ONE, _value(num.terms))
+    return _build(num, den, None)
 
 
 def _constant(q) -> "Scalar":
@@ -423,14 +481,7 @@ class Scalar:
         if not num.terms:
             den = ONE
         elif not den.is_one:
-            # cancel the monomial content that num and den share
-            common = monomial_content([*num.terms, *den.terms])
-            if common:
-                num, den = (
-                    Poly({_mono_div(m, common): c for m, c in p.terms.items()})
-                    for p in (num, den)
-                )
-            num, den = _cancel(num, den)
+            num, den = _cancel(*_unshared(num, den))
         self._settle(num, den)
 
     def _settle(self, num: Poly, den: Poly):
@@ -486,18 +537,17 @@ class Scalar:
             return _build(Poly(terms), ONE, _value(terms))
         a, b = self.num, -other.num if negate else other.num
         if ad == bd:
-            return Scalar(a + b, ad)
+            return _over(a + b, ad)
         # over the larger denominator when one divides the other; a
-        # one-term denominator is a monomial that Scalar.__init__ takes out
-        # of the cross product again
+        # one-term denominator is a monomial that _over takes out of the
+        # cross product again
         if len(ad.terms) > 1 and len(bd.terms) > 1:
-            q = exact_div(bd, ad)
+            q, flipped = _either_div(bd, ad)
+            if q is not None and flipped:
+                return _over(a + b * q, ad)
             if q is not None:
-                return Scalar(a * q + b, bd)
-            q = exact_div(ad, bd)
-            if q is not None:
-                return Scalar(a + b * q, ad)
-        return Scalar(a * bd + b * ad, ad * bd)
+                return _over(a * q + b, bd)
+        return _over(a * bd + b * ad, ad * bd)
 
     def __add__(self, other):
         return self._sum(other, False)
@@ -547,6 +597,10 @@ class Scalar:
         if b is ONE and d is ONE:
             terms = terms_mul(a.terms, c.terms)
             return _build(Poly(terms), ONE, _value(terms))
+        if b in (self.den, ONE) and d in (other.den, ONE):
+            return _over(a * c, b * d)
+        # a denominator that a numerator divided is now their quotient,
+        # which may have any content and sign
         return Scalar(a * c, b * d)
 
     __rmul__ = __mul__
@@ -563,7 +617,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return (self ** (-n)).inverse()
-        return Scalar(self.num**n, self.den**n)
+        return _over(self.num**n, self.den**n)
 
     def inverse(self) -> "Scalar":
         """1/self: the normalized pair swapped, with content and sign fixed."""
@@ -722,7 +776,7 @@ def split_symbols(value: Scalar, symbols) -> dict:
     den = value.den
     return {
         exps: _build(Poly(terms), ONE, _value(terms)) if den is ONE
-        else Scalar(Poly(terms), den)
+        else _over(Poly(terms), den)
         for exps, terms in groups.items()
     }
 

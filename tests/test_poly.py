@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     oracle_inverse,
@@ -24,6 +24,7 @@ from ckexpand.poly import (
     Poly,
     Scalar,
     ScalarDivisionError,
+    _either_div,
     add_term,
     as_scalar,
     exact_div,
@@ -181,7 +182,7 @@ def test_constant_arithmetic_never_reaches_the_polynomials():
 
     half, three = parse_scalar("1/2"), Scalar.const(3)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("terms_add", "terms_mul", "exact_div"):
+        for name in ("terms_add", "terms_mul", "_either_div"):
             mp.setattr(ckexpand.poly, name, refused)
         results = [half + three, half - three, half * three, three / half,
                    half + half, half - half]
@@ -248,19 +249,50 @@ def test_exact_division_refuses_exactly_what_sympy_leaves_a_remainder_of(
         assert sympy.expand(to_sympy(Scalar(got)) - quotient) == 0
 
 
+@settings(deadline=None, max_examples=60)
+@given(nonzero_polys, nonzero_polys, nonzero_polys,
+       st.sampled_from(["any", "b | a", "a | b", "shared"]))
+def test_two_way_division_matches_sympy_in_both_directions(f, g, h, kind):
+    sympy = pytest.importorskip("sympy")
+    a, b = {
+        "any": (f, g),
+        "b | a": (g * h, g),
+        "a | b": (f, f * h),
+        "shared": (f * g, f * h),
+    }[kind]
+    gens = [sympy.Symbol(sym) for sym in SYMBOLS]
+
+    def divided(n, d):
+        quotient, remainder = sympy.div(
+            to_sympy(Scalar(n)), to_sympy(Scalar(d)), *gens, domain="QQ"
+        )
+        return quotient if remainder == 0 else None
+
+    want = divided(a, b), divided(b, a)
+    got, flipped = _either_div(a, b)
+    if want[0] is not None:
+        assert not flipped
+        assert sympy.expand(to_sympy(Scalar(got)) - want[0]) == 0
+    elif want[1] is not None:
+        assert flipped
+        assert sympy.expand(to_sympy(Scalar(got)) - want[1]) == 0
+    else:
+        assert (got, flipped) == (None, False)
+
+
 @given(scalars.filter(lambda s: not s.is_zero))
 def test_inverse_swaps_the_pair_without_dividing(s):
     import ckexpand.poly
 
     calls = []
-    div = ckexpand.poly.exact_div
+    div = ckexpand.poly._either_div
 
-    def counted_div(a, b):
+    def counted_div(a, b, *both):
         calls.append(1)
-        return div(a, b)
+        return div(a, b, *both)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckexpand.poly, "exact_div", counted_div)
+        mp.setattr(ckexpand.poly, "_either_div", counted_div)
         inverse = s.inverse()
     assert _shape(inverse) == _shape(Scalar(s.den, s.num))
     assert len(calls) == 0
@@ -366,17 +398,48 @@ def test_planted_monic_prints_as_the_earlier_rule():
             assert _shape(coeff) == _shape(want.terms[exps])
 
 
+# Scalars with a real denominator, some sharing a factor with another
+real_fractions = st.builds(
+    lambda n, d, f: Scalar(n * f, d * f), nonzero_polys, nonzero_polys,
+    st.sampled_from((Poly.const(1), *FACTORS)),
+).filter(lambda s: s.den is not ONE)
+
+
+# sums whose numerator divides the denominator, 2*x + 2 into x^2 - 1:
+# the quotient (x - 1)/2 is the one denominator that needs the content pass
+@example(parse_scalar("2*x/(x^2 - 1)"), parse_scalar("2/(x^2 - 1)"))
+@example(parse_scalar("2*x/(x^2 - 1)"), parse_scalar("-2/(x^2 - 1)"))
+@settings(deadline=None, max_examples=50)
+@given(real_fractions, real_fractions)
+def test_fraction_results_keep_a_primitive_positive_denominator(a, b):
+    # by Gauss's lemma the denominators that skip the content pass keep
+    # content 1 and a positive leading coefficient; the oracles run it
+    results = [
+        (a + b, oracle_sum(a, b)),
+        (a - b, oracle_sum(a, b, negate=True)),
+        (a * b, oracle_mul(a, b)),
+        (a / b, oracle_mul(a, oracle_inverse(b))),
+    ]
+    for got, want in results:
+        if got.den is not ONE:
+            assert got.den.content() == 1 and got.den.leading()[1] > 0
+        assert (str(got.num), str(got.den)) == (str(want.num), str(want.den))
+
+
 def test_scalar_arithmetic_never_divides_by_or_into_one_term(monkeypatch):
     import ckexpand.poly
 
     sizes = []
-    div = ckexpand.poly.exact_div
+    div = ckexpand.poly._either_div
 
-    def counted_div(a, b):
-        sizes.append((len(a.terms), len(b.terms)))
-        return div(a, b)
+    # Scalar arithmetic tries both directions; the one-way calls come from
+    # exact_div, which the oracles run between the operations
+    def counted_div(a, b, both=True):
+        if both:
+            sizes.append((len(a.terms), len(b.terms)))
+        return div(a, b, both)
 
-    monkeypatch.setattr(ckexpand.poly, "exact_div", counted_div)
+    monkeypatch.setattr(ckexpand.poly, "_either_div", counted_div)
     for _, new, _ in _planted_operations(20261019, 500):
         new()
     assert sizes, "no division was tried at all"
@@ -570,14 +633,14 @@ def test_negation_keeps_the_normal_form_without_dividing(s):
 
     want = Scalar(-s.num, s.den)
     calls = []
-    div = ckexpand.poly.exact_div
+    div = ckexpand.poly._either_div
 
-    def counted_div(a, b):
+    def counted_div(a, b, *both):
         calls.append(1)
-        return div(a, b)
+        return div(a, b, *both)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckexpand.poly, "exact_div", counted_div)
+        mp.setattr(ckexpand.poly, "_either_div", counted_div)
         neg = -s
     assert neg.num.terms == want.num.terms
     assert neg.den.terms == want.den.terms
