@@ -488,15 +488,24 @@ class ExpansionReport:
             }
         if self.primed is not None:
             data["primed"] = {lab: str(el) for lab, el in self.primed.items()}
+        # the raw constraints and the per-pair equations share their
+        # ParamPoly objects: print each object once
+        texts = {}
+
+        def text(p):
+            if id(p) not in texts:
+                texts[id(p)] = str(p)
+            return texts[id(p)]
+
         if self.constraints is not None:
             data["constraints"] = {
-                "raw": [str(p) for p in self.constraints.generators],
-                "groebner": [str(p) for p in self.constraints.groebner],
+                "raw": [text(p) for p in self.constraints.generators],
+                "groebner": [text(p) for p in self.constraints.groebner],
                 "unknowns": list(self.constraints.unknowns),
             }
         if self.per_pair is not None:
             data["per_pair_equations"] = {
-                pair: [str(e) for e in eqs] for pair, eqs in self.per_pair.items()
+                pair: [text(e) for e in eqs] for pair, eqs in self.per_pair.items()
             }
             data["order_independent"] = self.order_independent
         if self.brackets:
@@ -578,7 +587,7 @@ def analyze_closure(g: LieAlgebra, primed) -> ClosureReport:
     # echelonize the primed elements for exact membership tests
     span = _Span()
     for idx, el in enumerate(elements):
-        span.add(el.terms, idx)
+        span.add(el.terms, {idx: Scalar.one()})
     table = {}
     combos = {}
     closes = True

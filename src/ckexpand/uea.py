@@ -10,7 +10,9 @@ Commutators follow the derivation rule instead of forming ab - ba.
 Also provides the quadratic Casimir elements of the kinematical family,
 centrality testing, and exact reduction modulo relations that equate a
 central element with a scalar eigenvalue (the algebraic stand-in for
-fixing an irreducible representation), at any degree with no bound.
+fixing an irreducible representation), at any degree with no bound.  A
+relation c*Z = s on a central generator Z is applied by substituting
+Z = s/c; the other relations are spanned.
 """
 
 from __future__ import annotations
@@ -327,34 +329,65 @@ class _Span:
     def reduce(self, terms):
         return self._eliminate(terms, True)
 
-    def add(self, terms, tag):
+    def add(self, terms, rep):
+        """Add ``terms``, which equal the tag combination ``rep`` (a dict
+        {tag: Scalar}), unless the span already holds them."""
         residual, combo = self._eliminate(terms, False)
         if not residual:
             return
-        rep = {tag: Scalar.one()}
+        rep = dict(rep)
         for t, c in combo.items():
             add_term(rep, t, -c)
         lead = max(residual, key=grlex_key)
         self.rows[lead] = (residual, rep)
 
 
+def _central_letter(element: UEAElement):
+    """The index of Z when element is one term c*Z and Z's row of the
+    bracket table is empty; otherwise None."""
+    if len(element.terms) != 1:
+        return None
+    [exps] = element.terms
+    if sum(exps) != 1:
+        return None
+    z = exps.index(1)
+    return None if any(element.algebra.table[z]) else z
+
+
 class CentralReducer:
     """Exact reduction modulo the ideal of the relations r_i = element_i -
     scalar_i, reusable across inputs.
 
-    ``reduce(x)`` first grows the span of the products r_i * m (m a PBW
-    monomial) to total degree deg x.  Each row is the row of m without its
-    last letter, times that letter.  ``bound`` is the largest cofactor
-    degree in the span, -1 before the first reduction.
+    A relation c*Z = s whose element is one term, with Z a generator whose
+    row of the bracket table is empty, is applied by substitution Z -> v =
+    s/c.  A term coeff * Z^k M becomes coeff * v^k M, and the witness gains
+    (label, Z^j M, coeff * v^(k-1-j) / c) for each j < k, because Z^k - v^k
+    = (Z - v) * sum_j v^(k-1-j) Z^j and Z - v = (c*Z - s)/c.  Every other
+    relation is spanned.  ``reduce(x)`` substitutes x, grows the span of
+    the substituted products r_i * m (m a PBW monomial in the letters that
+    are not substituted) to the total degree of the result, and reduces it
+    against the span.  Each product is the product of m without its last
+    letter, times that letter.  ``bound`` is the largest cofactor degree in
+    the span, -1 before the first reduction.
 
     Premise: the r_i are central, and their top-degree parts t_i form a
-    regular sequence in S(g) over Q(params).  Then the span is the ideal's
-    whole slice of degree <= deg x.  Let y = sum r_i a_i have degree below
-    D = max deg(r_i a_i).  Then sum t_i top(a_i) = 0, a combination of
-    Koszul syzygies t_j e_i - t_i e_j.  These lift exactly, as r_i r_j =
-    r_j r_i, and subtracting the lifts lowers D.  For the family, t(C2) has
-    rank >= 4, t(C1) has rank >= 2 over a field where -1 is not a square,
-    and t(mXi) = m*Xi.
+    regular sequence in S(g) over Q(params).  Then the products r_i * m of
+    degree <= D, over all relations and all monomials m, span the ideal's
+    whole slice of degree <= D.  Let y = sum r_i a_i have degree below D =
+    max deg(r_i a_i).  Then sum t_i top(a_i) = 0, a combination of Koszul
+    syzygies t_j e_i - t_i e_j.  These lift exactly, as r_i r_j = r_j r_i,
+    and subtracting the lifts lowers D.  For the family, t(C2) has rank >= 4
+    and t(C1) has rank >= 2 over a field where -1 is not a square; with a
+    central extension the sequence with t = c*Z stays regular when the
+    Casimir tops with Z set to 0 are coprime.
+
+    The remainders are those that spanning Z's relation as well gives.  Z
+    is central, so setting Z = v is an algebra map, and every monomial Z M
+    leads the ideal element (Z - v) M.  An ideal element whose leading term
+    is free of Z keeps it under the substitution, because the terms that
+    hold Z drop in degree.  So the substituted spanned rows, which the map
+    makes of every r_i * m, span the slice's Z-free part with the same
+    leading terms, and the normal form of x is that of x with Z = v.
     """
 
     def __init__(self, algebra: LieAlgebra, relations):
@@ -364,18 +397,57 @@ class CentralReducer:
         self.span = _Span()
         self._degree = -1
         one = UEAElement.one(algebra)
-        # per relation: r * m for each cofactor m of the last degree built
-        self._level = []
+        # substituted letter -> (label, v, [v^k], [v^k / c]); the power
+        # lists grow with the largest exponent met
+        self._subs = {}
+        # the spanned relations, and per relation r * m for each cofactor m
+        # of the last degree built
+        self._spanned, self._level = [], []
         for rel in self.relations:
             if rel.element.algebra is not algebra:
                 raise MixedAlgebraError("relation element from another algebra")
-            self._level.append({(): rel.element - one.scale(rel.scalar)})
+            z = _central_letter(rel.element)
+            if z is not None and z not in self._subs:
+                [c] = rel.element.terms.values()
+                v = rel.scalar / c
+                self._subs[z] = (rel.label, v, [Scalar.one()], [c.inverse()])
+            else:
+                self._spanned.append(rel)
+                self._level.append({(): rel.element - one.scale(rel.scalar)})
+        self._free = [i for i in range(algebra.dim) if i not in self._subs]
+
+    def _substitute(self, terms):
+        """``terms`` with each substituted letter set to its value, and the
+        witness entries {(label, exps): coeff} of the difference."""
+        entries: dict = {}
+        for z, (label, v, powers, scaled) in self._subs.items():
+            top = max((exps[z] for exps in terms), default=0)
+            if not top:
+                continue
+            while len(powers) <= top:
+                powers.append(powers[-1] * v)
+                scaled.append(scaled[-1] * v)
+            out: dict = {}
+            for exps, coeff in terms.items():
+                k = exps[z]
+                if k:
+                    for j in range(k):
+                        cofactor = exps[:z] + (j,) + exps[z + 1 :]
+                        add_term(
+                            entries, (label, cofactor), coeff * scaled[k - 1 - j]
+                        )
+                    exps = exps[:z] + (0,) + exps[z + 1 :]
+                    coeff = coeff * powers[k]
+                add_term(out, exps, coeff)
+            terms = out
+        return terms, entries
 
     def _grow(self, total: int) -> None:
         g, dim = self.algebra, self.algebra.dim
         letters = [UEAElement.generator(g, label) for label in g.generators]
+        one = Scalar.one()
         for degree in range(self._degree + 1, total + 1):
-            for k, rel in enumerate(self.relations):
+            for k, rel in enumerate(self._spanned):
                 deg = degree - rel.element.degree()
                 if deg < 0:
                     continue
@@ -384,20 +456,28 @@ class CentralReducer:
                     self._level[k] = {
                         word: uea_mul(prev[word[:-1]], letters[word[-1]])
                         for word in itertools.combinations_with_replacement(
-                            range(dim), deg
+                            self._free, deg
                         )
                     }
                 for word, product in self._level[k].items():
                     exps = [0] * dim
                     for idx in word:
                         exps[idx] += 1
-                    self.span.add(product.terms, (rel.label, tuple(exps)))
+                    # the row is r * m less the substitution's entries
+                    terms, entries = self._substitute(product.terms)
+                    rep = {(rel.label, tuple(exps)): one}
+                    for tag, coeff in entries.items():
+                        add_term(rep, tag, -coeff)
+                    self.span.add(terms, rep)
                 self.bound = max(self.bound, deg)
             self._degree = degree
 
     def reduce(self, x: UEAElement):
-        self._grow(x.degree())
-        residual, combo = self.span.reduce(x.terms)
+        terms, entries = self._substitute(x.terms)
+        self._grow(UEAElement(self.algebra, terms).degree())
+        residual, combo = self.span.reduce(terms)
+        for tag, coeff in entries.items():
+            add_term(combo, tag, coeff)
         remainder = UEAElement(self.algebra, residual)
         witness = sorted(
             ((label, exps, coeff) for (label, exps), coeff in combo.items()),

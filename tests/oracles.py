@@ -80,7 +80,7 @@ def oracle_span_reducer(algebra, relations, bound):
                     products[word] = uea_mul(
                         products[word[:-1]], letters[word[-1]]
                     )
-                span.add(products[word].terms, (rel.label, word))
+                span.add(products[word].terms, {(rel.label, word): Scalar.one()})
     return lambda x: UEAElement(algebra, span.reduce(x.terms)[0])
 
 

@@ -511,6 +511,43 @@ def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
     assert (len(spolys), len(reductions)) == (24, 122)
 
 
+def test_atlas_central_reduction_work(monkeypatch):
+    # a guard on the reducer work of one atlas pass: the central m*Xi = m*xi
+    # of the two ext-galilei arrows is substituted, so their brackets, of
+    # degree 1 once Xi = xi, grow no span; spanning it made 246 rows from
+    # 218 products
+    import ckexpand.uea
+
+    spans = []
+    init = ckexpand.uea._Span.__init__
+
+    def recorded(span):
+        init(span)
+        spans.append(span)
+
+    monkeypatch.setattr(ckexpand.uea._Span, "__init__", recorded)
+    products = count_calls(monkeypatch, ckexpand.uea, "uea_mul")
+    run_atlas()
+    assert (sum(len(span.rows) for span in spans), len(products)) == (146, 120)
+
+
+def test_to_json_prints_each_equation_once(monkeypatch):
+    # the raw constraints and the per-pair equations share their objects
+    for report in run_atlas():
+        printed = count_calls(monkeypatch, ParamPoly, "__str__")
+        data = report.to_json_dict()
+        monkeypatch.undo()
+        if report.constraints is None:
+            assert not printed
+            continue
+        equations = [*report.constraints.generators,
+                     *report.constraints.groebner]
+        equations += [e for eqs in report.per_pair.values() for e in eqs]
+        assert len(printed) == len({id(e) for e in equations})
+        assert data["constraints"]["raw"] == [
+            str(p) for p in report.constraints.generators]
+
+
 def test_each_distinct_coefficient_is_normalized_and_reduced_once(
         monkeypatch):
     import ckexpand.expand

@@ -319,6 +319,117 @@ def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
         assert oracle_reconstruct(remainder, witness, relations, products) == x
 
 
+EXT_SEEDS = [
+    EXT,
+    make_extended_galilei("2*n+1", name="ext-galilei(2n+1)"),
+    # c = 1/(q+1) in c*Xi = c*xi: the substitution divides by a fraction
+    make_extended_galilei("1/(q+1)", name="ext-galilei(1/(q+1))"),
+]
+
+
+def _with_xi_powers(algebra, rng):
+    """A random element: up to four PBW monomials, each a word of degree
+    <= 3 in the letters other than Xi times Xi^k for k <= 3."""
+    xi = algebra.index("Xi")
+    others = [i for i in range(algebra.dim) if i != xi]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * algebra.dim
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.choice(others)] += 1
+        exps[xi] = rng.randint(0, 3)
+        add_term(terms, tuple(exps), rng.choice(COEFFS))
+    return UEAElement(algebra, terms)
+
+
+@pytest.mark.parametrize("algebra", EXT_SEEDS, ids=lambda g: g.name)
+def test_a_central_generator_is_substituted(algebra):
+    # c*Xi = c*xi sets Xi to xi: no remainder holds Xi or a row leader, and
+    # the witness, which carries the substitution's (Xi - xi) multiples as
+    # mXi entries, rebuilds the input under the oracle's products
+    relations = standard_relations(algebra)
+    reducer = CentralReducer(algebra, relations)
+    xi = algebra.index("Xi")
+    rng = random.Random(20261019)
+    products = {}
+    substituted = 0
+    for _ in range(30):
+        x = _with_xi_powers(algebra, rng)
+        remainder, witness = reducer.reduce(x)
+        assert not any(exps[xi] for exps in remainder.terms)
+        assert not set(remainder.terms) & set(reducer.span.rows)
+        assert oracle_reconstruct(remainder, witness, relations, products) == x
+        substituted += any(label == "mXi" for label, _, _ in witness)
+    assert substituted > 0
+
+
+def test_substitution_spans_only_the_casimir_relations(monkeypatch):
+    # grown to degree 3, ext-galilei spans C1 and C2 times the cofactors of
+    # degree <= 1 in the six letters other than Xi: 2 x 7 rows, one
+    # product by a single letter per non-empty cofactor.  Spanning m*Xi
+    # too made 50 rows, 36 of them multiples of that relation
+    import ckexpand.uea
+
+    calls = []
+    mul = ckexpand.uea.uea_mul
+
+    def counted_mul(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(ckexpand.uea, "uea_mul", counted_mul)
+    reducer = CentralReducer(EXT, standard_relations(EXT))
+    reducer.reduce(parse_element(EXT, "P1 K1 J + m * H Xi^2"))
+    assert (len(reducer.span.rows), len(calls), reducer.bound) == (14, 2 * 6, 1)
+    for right in calls:
+        [(exps, coeff)] = right.terms.items()
+        assert sum(exps) == 1 and coeff.is_one
+    xi = EXT.index("Xi")
+    for lead, (terms, _) in reducer.span.rows.items():
+        assert not any(exps[xi] for exps in terms)
+
+
+def _reductions(algebra, seed):
+    relations = standard_relations(algebra)
+    reducer = CentralReducer(algebra, relations)
+    rng = random.Random(seed)
+    out = [reducer.reduce(_with_xi_powers(algebra, rng)) for _ in range(20)]
+    return reducer, [(r.terms, w) for r, w in out]
+
+
+def test_a_loaded_algebra_gets_the_same_substitution():
+    # the substitution is chosen from the bracket table, so the algebra
+    # read back from its JSON form reduces exactly as the builtin does
+    from ckexpand.liealg import LieAlgebra
+
+    loaded = LieAlgebra.from_json_dict(EXT.to_json_dict())
+    assert loaded is not EXT
+    builtin_reducer, builtin = _reductions(EXT, 7)
+    loaded_reducer, got = _reductions(loaded, 7)
+    assert list(loaded_reducer._subs) == list(builtin_reducer._subs) == [
+        EXT.index("Xi")
+    ]
+    assert len(loaded_reducer.span.rows) == len(builtin_reducer.span.rows)
+    assert got == builtin
+
+
+def test_a_relation_on_a_non_central_generator_is_spanned():
+    # H is not central in poincare, so H = e is spanned like a Casimir
+    g = builtin_algebra("poincare")
+    relations = [CentralRelation("He", UEAElement.generator(g, "H"),
+                                 Scalar.symbol("e"))]
+    reducer = CentralReducer(g, relations)
+    assert reducer._subs == {}
+    x = parse_element(g, "H P1 + 2 * P2")
+    remainder, witness = reducer.reduce(x)
+    assert len(reducer.span.rows) == 1 + g.dim
+    assert remainder == parse_element(g, "e * P1 + 2 * P2")
+    assert [(label, exps) for label, exps, _ in witness] == [
+        ("He", parse_element(g, "P1").terms.popitem()[0])
+    ]
+    assert oracle_reconstruct(remainder, witness, relations) == x
+
+
 SEEDS = [builtin_algebra(name) for name in sorted(BUILTIN_NAMES)] + [
     EXT,
     SYMBOLIC,
