@@ -20,12 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .expand import (
-    ExpansionError,
-    make_problem,
-    run_atlas,
-    run_expansion,
-)
+from . import expand, uea
 from .liealg import (
     BUILTIN_NAMES,
     LieAlgebra,
@@ -35,7 +30,6 @@ from .liealg import (
     contract,
     identify,
 )
-from .uea import casimir, is_central
 
 __all__ = ["main"]
 
@@ -77,8 +71,8 @@ def cmd_verify(args) -> int:
     else:
         casimirs = {}
         for index in (1, 2):
-            element = casimir(g, index, member)
-            central, witness = is_central(element)
+            element = uea.casimir(g, index, member)
+            central, witness = uea.is_central(element)
             casimirs[f"C{index}"] = {
                 "element": str(element),
                 "central": central,
@@ -178,14 +172,16 @@ def cmd_expand(args) -> int:
         try:
             omega = Fraction(omega)
         except (ValueError, ZeroDivisionError):
-            raise ExpansionError(f"omega must be 'sym' or a rational: {omega!r}")
-    problem = make_problem(
+            raise expand.ExpansionError(
+                f"omega must be 'sym' or a rational: {omega!r}"
+            )
+    problem = expand.make_problem(
         _load_algebra(args.name),
         args.axis,
         omega,
         expected_failure=args.expect_failure,
     )
-    report = run_expansion(problem, degree_bound=args.degree_bound)
+    report = expand.run_expansion(problem, degree_bound=args.degree_bound)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -194,7 +190,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    reports = run_atlas(args.degree_bound)
+    reports = expand.run_atlas(args.degree_bound)
     ok = all(r.ok for r in reports)
     if args.json:
         _emit_json(
@@ -277,10 +273,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; keep that contract
         return exc.code if exc.code is not None else 2
+    # ValueError covers ExpansionError, UnsupportedAlgebraError and
+    # json.JSONDecodeError
     try:
         return args.func(args)
-    except (ExpansionError, UnsupportedAlgebraError, KeyError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)

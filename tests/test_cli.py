@@ -33,6 +33,13 @@ def cold_env():
     return env
 
 
+def run_cold(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        env=cold_env(), capture_output=True, text=True, timeout=300,
+    )
+
+
 def test_algebra_text(capsys):
     code, out, _ = run(capsys, "algebra", "poincare")
     assert code == 0
@@ -115,10 +122,16 @@ def test_expand_failure_exit_codes(capsys):
     assert code == 0
 
 
-def test_bad_input_exit_code_2(capsys):
+def test_bad_input_exit_code_2(capsys, tmp_path):
     code, _, err = run(capsys, "algebra", "no-such-algebra")
     assert code == 2
     assert "error:" in err
+    truncated = tmp_path / "truncated.json"
+    definition = json.dumps(make_ck_algebra(1, 0).to_json_dict())
+    truncated.write_text(definition[: len(definition) // 2])
+    code, out, err = run(capsys, "algebra", str(truncated))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
     code, _, err = run(capsys, "expand", "poincare", "--axis", "2")
     assert code == 2
     code, _, err = run(capsys, "expand", "poincare", "--axis", "1",
@@ -209,29 +222,64 @@ def test_seed_with_a_free_parameter_name_expands(capsys, tmp_path):
 def test_module_entry_point_matches_main(capsys):
     # what users run: a cold interpreter, the sources on the path
     argv = ["expand", "poincare", "--axis", "1", "--json"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "ckexpand.cli", *argv],
-        env=cold_env(), capture_output=True, text=True, timeout=300,
-    )
+    proc = run_cold("-m", "ckexpand.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(capsys, *argv)[1]
 
 
-def test_cold_import_loads_no_dataclasses():
+# what a fresh process has run of the lazily registered modules, read from
+# each module's __dict__ without the attribute access that would load it
+EXECUTED_PROBE = """
+import json, sys
+import ckexpand.cli
+code = ckexpand.cli.main(sys.argv[1:])
+defines = {"groebner": "groebner_basis", "uea": "uea_mul",
+           "expand": "run_expansion"}
+print(json.dumps({
+    "code": code,
+    "executed": [name for name, attr in defines.items()
+                 if attr in object.__getattribute__(
+                     sys.modules["ckexpand." + name], "__dict__")],
+    "loaded": sorted(set(sys.modules) & {"dataclasses", "inspect"}),
+}))
+"""
+
+
+@pytest.mark.parametrize("argv, executed", [
+    ("algebra euclid3 --json", []),
+    ("contract poincare --kind space-time", []),
+    ("verify ext-galilei --json", ["uea"]),
+    ("expand nh-plus --axis 2 --omega 1 --json",
+     ["groebner", "uea", "expand"]),
+], ids=["algebra", "contract", "verify", "expand"])
+def test_cold_command_runs_only_the_modules_it_needs(argv, executed):
     # dataclasses pulls in inspect, ast, dis and tokenize, and every
     # @dataclass compiles its methods with exec on each cold start
-    probe = (
-        "import sys; before = set(sys.modules); import ckexpand.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=cold_env(), capture_output=True, text=True, timeout=300,
-    )
+    proc = run_cold("-c", EXECUTED_PROBE, *argv.split())
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "ckexpand.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "executed": executed, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    "algebra euclid3 --json",
+    "expand nh-plus --axis 2 --omega 1 --json",
+], ids=["algebra", "expand"])
+def test_traced_command_matches_the_untraced_one(tmp_path, argv):
+    # ckbench/traced_cli.py imports only ckexpand.cli, then wraps engine
+    # functions found through sys.modules: each lazy module must load there
+    spans_out = tmp_path / "spans.json"
+    traced = run_cold(str(ROOT / "ckbench" / "traced_cli.py"),
+                      str(spans_out), *argv.split())
+    plain = run_cold("-m", "ckexpand.cli", *argv.split())
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    data = json.loads(spans_out.read_text())
+    entered = {data["names"][n] for n in data["name"]}
+    if argv.startswith("expand"):
+        assert entered >= {"expand.run_expansion", "uea.reducer_reduce",
+                           "groebner.groebner_basis", "kernel.terms_mul"}
 
 
 @pytest.mark.parametrize("command", sorted(REFERENCE_CLI))
