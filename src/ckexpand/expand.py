@@ -36,7 +36,6 @@ from .liealg import (
     Decomposition,
     LieAlgebra,
     UnsupportedAlgebraError,
-    _central_labels,
     builtin_algebra,
     cartan_check,
     identify,
@@ -249,9 +248,8 @@ def centralizer_split(g: LieAlgebra, unchanged) -> HypothesisReport:
     violations = tuple(
         (x, y, bad) for kind, x, y, bad in cartan.violations if kind == "hp"
     )
-    central = set(_central_labels(g))
     central_only = bool(violations) and all(
-        all(lab in central for lab in bad) for _, _, bad in violations
+        g.is_central(g.index(lab)) for _, _, bad in violations for lab in bad
     )
     return HypothesisReport(
         k_labels=tuple(g.generators[i] for i in k_idx),
@@ -350,22 +348,14 @@ def default_degree_bound(problem: ExpansionProblem) -> int:
 
 def _constraint_ideal(eq_lists):
     """Groebner basis of the equations, deduplicated up to a constant factor
-    in the order given; every equation must reduce to zero modulo it."""
+    in the order given.  ``verify_expansion`` proves that every equation
+    lies in it."""
     raw = []
     for eqs in eq_lists:
         for eq in eqs:
             if not any(eq.proportional_to(known) for known in raw):
                 raw.append(eq)
-    ideal = groebner_basis(raw, UNKNOWNS)
-    _check_members(ideal)
-    return ideal
-
-
-def _check_members(ideal):
-    """Raise unless every generator of ideal reduces to zero modulo it."""
-    for eq in ideal.generators:
-        if not reduce_mod_ideal(eq, ideal).is_zero:
-            raise InconsistentSystemError("generator does not reduce to zero")
+    return groebner_basis(raw, UNKNOWNS)
 
 
 def _pair_remainders(problem: ExpansionProblem, primed):
@@ -423,28 +413,24 @@ class ClosureReport(NamedTuple):
 class ExpansionReport:
     """What ``run_expansion`` found, filled in stage by stage."""
 
-    def __init__(self, problem, splits=None, J=None, hypothesis=None,
-                 primed=None, constraints=None, per_pair=None,
-                 remainders=None, witnesses=None,
-                 order_independent=True, brackets=(), closure=None,
-                 verdict="fail", degree_bound=0, remarks=()):
+    def __init__(self, problem):
         self.problem = problem
-        self.splits = splits
-        self.J = J
-        self.hypothesis = hypothesis
-        self.primed = primed
-        self.constraints = constraints
-        self.per_pair = per_pair
+        self.splits = None
+        self.J = None
+        self.hypothesis = None
+        self.primed = None
+        self.constraints = None
+        self.per_pair = None
         # central remainders and their witnesses (central_reduce triples)
         # from derive_constraints; not written to JSON
-        self.remainders = remainders
-        self.witnesses = witnesses
-        self.order_independent = order_independent
-        self.brackets = list(brackets)
-        self.closure = closure
-        self.verdict = verdict
-        self.degree_bound = degree_bound
-        self.remarks = list(remarks)
+        self.remainders = None
+        self.witnesses = None
+        self.order_independent = True
+        self.brackets = []
+        self.closure = None
+        self.verdict = "fail"
+        self.degree_bound = 0
+        self.remarks = []
 
     @property
     def ok(self) -> bool:
@@ -541,6 +527,12 @@ def verify_expansion(problem, hypothesis, constraints, remainders):
     reduction followed by reduction of every coefficient modulo the
     constraint ideal.  When the shortcut hypotheses hold, the k'k' and
     k't' classes must pass exactly.
+
+    This is the one proof that the constraint equations lie in the ideal:
+    each raw generator is u*p for a nonzero parameter Scalar u and the
+    polynomial p of a remainder coefficient, and a reduction picks each
+    step by leading monomials alone, so NF(u*p) = u*NF(p) against any
+    basis.  A basis that misses a generator leaves a residual: fail.
     """
     g = problem.initial
     k_set = set(hypothesis.k_labels)
@@ -550,7 +542,6 @@ def verify_expansion(problem, hypothesis, constraints, remainders):
         )
     )
     verdicts = []
-    all_ok = True
     for (i, j), remainder in remainders.items():
         pair = _pair_name(g, i, j)
         in_k = (g.generators[i] in k_set) + (g.generators[j] in k_set)
@@ -574,8 +565,7 @@ def verify_expansion(problem, hypothesis, constraints, remainders):
                 "0" if ok else "; ".join(residuals),
             )
         )
-        all_ok = all_ok and ok
-    return verdicts, all_ok
+    return verdicts, all(v.ok for v in verdicts)
 
 
 def analyze_closure(g: LieAlgebra, primed) -> ClosureReport:
@@ -619,20 +609,17 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     """Full pipeline for one expansion arrow."""
     if degree_bound is not None and degree_bound < 0:
         raise ExpansionError(f"degree bound must be >= 0, got {degree_bound}")
-    report = ExpansionReport(problem=problem)
-    splits = split_casimirs(problem)
-    report.splits = splits
-    J = build_J(splits)
-    report.J = J
+    report = ExpansionReport(problem)
+    report.splits = split_casimirs(problem)
+    report.J = build_J(report.splits)
     g = problem.initial
-    primed, unchanged = build_primed_generators(g, J)
-    report.primed = primed
+    report.primed, unchanged = build_primed_generators(g, report.J)
     hyp = centralizer_split(g, unchanged)
     report.hypothesis = hyp
     if not hyp.holds and not hyp.violations_central_only:
         # the seed is too abelian for this axis: analyze what the primed
         # set closes instead of deriving constraints
-        closure = analyze_closure(g, primed)
+        closure = analyze_closure(g, report.primed)
         report.closure = closure
         if closure.closes and closure.matches_cell is None:
             report.verdict = "closes-but-not-ck"
@@ -645,20 +632,16 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     report.degree_bound = (
         default_degree_bound(problem) if degree_bound is None else degree_bound
     )
-    ideal, per_pair, remainders, witnesses = derive_constraints(problem, primed)
-    report.constraints = ideal
-    report.per_pair = per_pair
-    report.remainders = remainders
-    report.witnesses = witnesses
+    (report.constraints, report.per_pair, report.remainders,
+     report.witnesses) = derive_constraints(problem, report.primed)
+    ideal = report.constraints
     # order-independence: the deduplicated equations in reversed order
-    # must generate the same ideal.  They all reduce to zero modulo ideal,
-    # so their check against the reverse basis repeats that answer unless
-    # the two bases differ
+    # must generate the same ideal.  When the two bases differ the verdict
+    # is fail already, so no equation is reduced against the reverse one
     ideal_rev = groebner_basis(list(reversed(ideal.generators)), UNKNOWNS)
     report.order_independent = ideal_equals(ideal, ideal_rev)
-    if not report.order_independent:
-        _check_members(ideal_rev)
-    verdicts, all_ok = verify_expansion(problem, hyp, ideal, remainders)
+    verdicts, all_ok = verify_expansion(
+        problem, hyp, ideal, report.remainders)
     report.brackets = verdicts
     report.verdict = "pass" if all_ok and report.order_independent else "fail"
     if problem.axis == 1:
@@ -666,18 +649,14 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
             "sign constraint not enforced: real solutions for a1 require "
             "compatible signs of w1, w2 and the Casimir eigenvalue"
         )
+    used = set()
+    for eqs in report.per_pair.values():
+        for eq in eqs:
+            for coeff in eq.terms.values():
+                used.update(coeff.variables())
     eigencount = sorted(
-        {
-            rel.label
-            for pair_eqs in per_pair.values()
-            for eq in pair_eqs
-            for rel in problem.relations
-            if any(
-                v in coeff.variables()
-                for coeff in eq.terms.values()
-                for v in rel.scalar.variables()
-            )
-        }
+        rel.label for rel in problem.relations
+        if not used.isdisjoint(rel.scalar.variables())
     )
     report.remarks.append(
         "Casimir eigenvalues entering the constraints: "

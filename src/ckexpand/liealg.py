@@ -93,6 +93,11 @@ class LieAlgebra:
         """[X_i, X_j] as a map generator index -> Scalar coefficient."""
         return dict(self.table[i][j])
 
+    def is_central(self, i: int) -> bool:
+        """True when X_i commutes with every generator: its row of the
+        table is empty."""
+        return not any(self.table[i])
+
     def bracket_labels(self, x: str, y: str) -> dict:
         """[x, y] keyed by generator label."""
         combo = self.bracket(self.index(x), self.index(y))
@@ -321,14 +326,6 @@ class FamilyMember(NamedTuple):
     w2: Scalar
     m: Scalar  # the central extension [P_i, K_i] = m*central; zero if none
     central: str | None  # label of the seventh, central generator
-
-
-def _central_labels(g: LieAlgebra):
-    out = []
-    for i, label in enumerate(g.generators):
-        if all(not g.bracket(i, j) for j in range(g.dim)):
-            out.append(label)
-    return tuple(out)
 
 
 def identify(g: LieAlgebra) -> FamilyMember:

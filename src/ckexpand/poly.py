@@ -524,7 +524,7 @@ class Scalar:
 
     def _sum(self, other, negate):
         if not isinstance(other, Scalar):
-            other = as_scalar(other)
+            other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
         p, q = self.value, other.value
@@ -580,7 +580,7 @@ class Scalar:
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
-            other = as_scalar(other)
+            other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
         p, q = self.value, other.value
@@ -606,13 +606,16 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return as_scalar(other) / self
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -631,7 +634,7 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        other = as_scalar(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den is ONE and other.den is ONE:
@@ -782,16 +785,26 @@ def split_symbols(value: Scalar, symbols) -> dict:
 
 
 def as_scalar(value):
-    """Coerce ints, Fractions, Polys or symbol strings to Scalar."""
+    """Coerce ints, Fractions, Polys or symbol strings to Scalar; raise a
+    TypeError that names any other value."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, Poly):
         return Scalar(value)
-    if isinstance(value, (int, Fraction)):
-        return Scalar.const(value)
+    if isinstance(value, (int, float, Fraction)):
+        return Scalar.const(value)  # a float is refused as inexact
     if isinstance(value, str):
         return parse_scalar(value)
-    return NotImplemented
+    raise TypeError(f"cannot use {value!r} as a coefficient")
+
+
+def _operand(value):
+    """as_scalar(value) for a Scalar operator, NotImplemented where it
+    refuses, so that Python tries the other operand's method."""
+    try:
+        return as_scalar(value)
+    except TypeError:
+        return NotImplemented
 
 
 # -- expression parsing ----------------------------------------------------

@@ -343,15 +343,15 @@ class _Span:
 
 
 def _central_letter(element: UEAElement):
-    """The index of Z when element is one term c*Z and Z's row of the
-    bracket table is empty; otherwise None."""
+    """The index of Z when element is one term c*Z and Z is a central
+    generator; otherwise None."""
     if len(element.terms) != 1:
         return None
     [exps] = element.terms
     if sum(exps) != 1:
         return None
     z = exps.index(1)
-    return None if any(element.algebra.table[z]) else z
+    return z if element.algebra.is_central(z) else None
 
 
 class CentralReducer:

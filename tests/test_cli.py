@@ -122,6 +122,29 @@ def test_expand_failure_exit_codes(capsys):
     assert code == 0
 
 
+def test_a_basis_missing_a_generator_fails_verification(capsys, monkeypatch):
+    # the only membership proof is verify_expansion: a wrong basis gives a
+    # residual and verdict fail (exit 1), not an input error (exit 2)
+    import ckexpand.expand
+
+    original = ckexpand.expand.groebner_basis
+
+    def dropped_first(gens, unknowns):
+        ideal = original(gens, unknowns)
+        return ideal._replace(groebner=ideal.groebner[1:])
+
+    monkeypatch.setattr(ckexpand.expand, "groebner_basis", dropped_first)
+    code, out, _ = run(
+        capsys, "expand", "euclid3", "--axis", "1", "--omega", "1", "--json"
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "fail"
+    by_pair = {b["pair"]: b for b in data["brackets"]}
+    assert not by_pair["[H,P1]"]["ok"]
+    assert by_pair["[H,P1]"]["residual"] not in ("", "0")
+
+
 def test_bad_input_exit_code_2(capsys, tmp_path):
     code, _, err = run(capsys, "algebra", "no-such-algebra")
     assert code == 2

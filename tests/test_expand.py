@@ -501,14 +501,19 @@ def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
     # a guard on the Groebner work of one atlas pass: generators are
     # reduced on entry, so a generator that lies in the ideal of the
     # earlier ones forms no S-pair; reducing every input pairwise instead
-    # takes 32 S-polynomials and 168 reductions.  The reverse run checks
-    # its generators only when its basis differs, which saves 18 more
+    # takes 32 S-polynomials and 168 reductions.  verify_expansion is the
+    # only membership proof: reducing the raw generators against the basis
+    # as well took 18 more reductions (122)
+    import ckexpand.expand
     import ckexpand.groebner
 
     spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
+    normal_forms = count_calls(monkeypatch, ckexpand.expand, "reduce_mod_ideal")
     run_atlas()
-    assert (len(spolys), len(reductions)) == (24, 122)
+    assert (len(spolys), len(reductions)) == (24, 104)
+    # one reduce_mod_ideal per distinct remainder coefficient (42 before)
+    assert len(normal_forms) == 24
 
 
 def test_atlas_central_reduction_work(monkeypatch):

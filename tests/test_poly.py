@@ -17,6 +17,7 @@ from oracles import (
     to_sympy,
 )
 
+from ckexpand.expand import make_problem
 from ckexpand.groebner import ParamPoly
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
@@ -769,6 +770,40 @@ def test_coercion():
     assert as_scalar(Fraction(3, 4)) == parse_scalar("3/4")
     assert as_scalar("w1") == Scalar.symbol("w1")
     assert as_scalar(7) == Scalar(Poly.const(7))
+
+
+COERCING_CALLERS = {
+    "as_scalar": as_scalar,
+    "make_problem": lambda v: make_problem("poincare", 1, v),
+    "make_ck_algebra": lambda v: make_ck_algebra(v, 1),
+    "UEAElement.monomial": lambda v: UEAElement.monomial(
+        TERM_ALGEBRA, {"H": 1}, v),
+    "UEAElement * value": lambda v: UEAElement.generator(
+        TERM_ALGEBRA, "H") * v,
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "inexact coefficient 0.5"),
+    (None, "cannot use None as a coefficient"),
+])
+@pytest.mark.parametrize("caller", sorted(COERCING_CALLERS))
+def test_a_value_that_is_no_coefficient_is_named(caller, value, message):
+    # as_scalar raises; only the Scalar operators turn that into
+    # NotImplemented, so no caller meets NotImplemented as a value
+    with pytest.raises(TypeError, match=message):
+        COERCING_CALLERS[caller](value)
+
+
+def test_scalar_operators_defer_to_the_other_operand():
+    h = UEAElement.generator(TERM_ALGEBRA, "H")
+    assert str(Scalar.symbol("a1") * h) == "a1 * H"
+    assert (Scalar.one() == None) is False  # noqa: E711
+    assert Scalar.one() != 0.5
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Scalar.one() + None
+    with pytest.raises(TypeError, match="unsupported operand"):
+        None / Scalar.one()
 
 
 # -- the TermSum core of enveloping-algebra elements and constraint polynomials
