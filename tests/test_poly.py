@@ -772,14 +772,14 @@ def test_coercion():
     assert as_scalar(7) == Scalar(Poly.const(7))
 
 
+H = UEAElement.generator(make_ck_algebra(1, 1), "H")
 COERCING_CALLERS = {
     "as_scalar": as_scalar,
     "make_problem": lambda v: make_problem("poincare", 1, v),
     "make_ck_algebra": lambda v: make_ck_algebra(v, 1),
     "UEAElement.monomial": lambda v: UEAElement.monomial(
-        TERM_ALGEBRA, {"H": 1}, v),
-    "UEAElement * value": lambda v: UEAElement.generator(
-        TERM_ALGEBRA, "H") * v,
+        H.algebra, {"H": 1}, v),
+    "UEAElement * value": lambda v: H * v,
 }
 
 
@@ -796,8 +796,7 @@ def test_a_value_that_is_no_coefficient_is_named(caller, value, message):
 
 
 def test_scalar_operators_defer_to_the_other_operand():
-    h = UEAElement.generator(TERM_ALGEBRA, "H")
-    assert str(Scalar.symbol("a1") * h) == "a1 * H"
+    assert str(Scalar.symbol("a1") * H) == "a1 * H"
     assert (Scalar.one() == None) is False  # noqa: E711
     assert Scalar.one() != 0.5
     with pytest.raises(TypeError, match="unsupported operand"):
