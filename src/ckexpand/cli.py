@@ -1,28 +1,28 @@
-"""Command-line front end.
+"""Command-line front end: ck VERB ..., or ck [VERB] -h for help.
 
-Verbs:
-
-  ck algebra NAME            show a bracket table (or dump it as JSON)
-  ck verify NAME             Jacobi identity + Casimir centrality checks
+  ck algebra NAME [--json]   show a bracket table (or dump it as JSON)
+  ck verify NAME [--json]    Jacobi identity + Casimir centrality checks
   ck contract NAME --kind K  Inonu-Wigner contraction along an axis
   ck expand NAME --axis A    run one expansion and report the verdict
   ck atlas                   run every expansion arrow in the atlas
 
 NAME is a builtin algebra name or the path of a JSON definition file.
-Exit codes: 0 success, 1 a verification failed, 2 bad input.
+Options go before or after NAME, as --opt VALUE or --opt=VALUE, and a
+unique prefix names an option; of a repeated option the last counts.
+Exit codes: 0 success, 1 a verification failed, 2 bad input or a bad
+command line, 141 stdout closed early (the shell's code for SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import expand, uea
 from .liealg import (
-    BUILTIN_NAMES,
     LieAlgebra,
     UnsupportedAlgebraError,
     builtin_algebra,
@@ -32,9 +32,6 @@ from .liealg import (
 )
 
 __all__ = ["main"]
-
-_BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
-_BOUND_HELP = "a value >= 0 to record; the reduction is exact at any value"
 
 
 def _load_algebra(name: str) -> LieAlgebra:
@@ -210,78 +207,148 @@ def cmd_atlas(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ck",
-        description="exact expansions and contractions of kinematical algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# NAME and each option: (converter, choices, default, help line), where a
+# converter of None marks a flag and the default REQUIRED what must be given
+REQUIRED = object()
+OPTIONS = {
+    "NAME": (str, (), REQUIRED, "a builtin algebra or a JSON definition file"),
+    "--kind": (str, ("space-time", "speed-space"), REQUIRED,
+               "the contraction to apply"),
+    "--axis": (int, (1, 2), REQUIRED, "the axis to expand along"),
+    "--omega": (str, (), "sym", "target coefficient: 'sym', an integer or "
+                "a rational (default sym)"),
+    "--degree-bound": (int, (), None, "a value >= 0 to record; the reduction "
+                       "is exact at any value"),
+    "--expect-failure": (None, (), False, "treat 'closes-but-not-ck' as the "
+                         "desired outcome"),
+    "--json": (None, (), False, "print the result as JSON"),
+    "--help": (None, (), False, "print this help"),
+}
+# verb: (handler, NAME and the options it takes)
+VERBS = {
+    "algebra": (cmd_algebra, "NAME --json"),
+    "verify": (cmd_verify, "NAME --json"),
+    "contract": (cmd_contract, "NAME --kind --json"),
+    "expand": (cmd_expand,
+               "NAME --axis --omega --degree-bound --expect-failure --json"),
+    "atlas": (cmd_atlas, "--degree-bound --json"),
+}
 
-    def add_name(p):
-        p.add_argument(
-            "name",
-            help=f"builtin algebra ({', '.join(_BUILTINS)}) or JSON file path",
-        )
 
-    p = sub.add_parser("algebra", help="show or dump an algebra")
-    add_name(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_algebra)
+class UsageError(Exception):
+    """A malformed command line; its args are the verb (or None) and why."""
 
-    p = sub.add_parser("verify", help="Jacobi and Casimir centrality checks")
-    add_name(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("contract", help="Inonu-Wigner contraction")
-    add_name(p)
-    p.add_argument(
-        "--kind", required=True, choices=["space-time", "speed-space"]
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_contract)
+def _label(word) -> str:
+    convert, choices, _, _ = OPTIONS[word]
+    metavar = "|".join(map(str, choices)) or word[2:].upper()
+    return word if convert is None or word == "NAME" else f"{word} {metavar}"
 
-    p = sub.add_parser("expand", help="run one expansion")
-    add_name(p)
-    p.add_argument("--axis", required=True, type=int, choices=[1, 2])
-    p.add_argument(
-        "--omega",
-        default="sym",
-        help="target coefficient: 'sym', an integer or a rational (default sym)",
-    )
-    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
-    p.add_argument(
-        "--expect-failure",
-        action="store_true",
-        help="treat 'closes-but-not-ck' as the desired outcome",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("atlas", help="run every expansion arrow")
-    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_atlas)
+def _usage(verb) -> str:
+    if verb is None:
+        return f"usage: ck [-h] {'|'.join(VERBS)} ..."
+    words = [_label(w) if OPTIONS[w][2] is REQUIRED else f"[{_label(w)}]"
+             for w in VERBS[verb][1].split()]
+    return " ".join(["usage: ck", verb, "[-h]", *words])
 
-    return parser
+
+def _help(verb) -> int:
+    if verb is None:
+        lines = [__doc__.strip(), "", "Options of each verb:"]
+        lines += [_usage(v).replace("usage:", " ") for v in VERBS]
+    else:
+        lines = [f"  {_label(word):<32}{OPTIONS[word][3]}"
+                 for word in VERBS[verb][1].split() + ["--help"]]
+    print("\n".join([_usage(verb), "", *lines]))
+    return 0
+
+
+def _option(verb, words, token, tokens):
+    """The option that token names, whole or as a unique prefix, and its
+    value: True for a flag, else what follows "=" or the next token."""
+    given, eq, value = token.partition("=")
+    found = [word for word in words if word.startswith(given)]
+    if len(found) != 1:
+        problem = "ambiguous" if found else "unknown"
+        raise UsageError(verb, f"{problem} option {given}")
+    option = found[0]
+    convert, choices, _, _ = OPTIONS[option]
+    if convert is None and eq:
+        raise UsageError(verb, f"{option} takes no value")
+    if convert is None:
+        return option, True
+    if not eq:
+        value = next(tokens, None)
+        if value is None or value.startswith("--"):
+            raise UsageError(verb, f"{option} expects a value")
+    try:
+        converted = convert(value)
+        if choices and converted not in choices:
+            raise ValueError(value)
+    except ValueError:
+        raise UsageError(verb, f"invalid {option} {value!r}") from None
+    return option, converted
+
+
+def parse_args(argv):
+    """Return the handler of argv and its arguments (for -h or --help, the
+    help and the verb); raise UsageError where argparse, which this
+    replaces, exited 2."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help, None
+    if not argv or argv[0] not in VERBS:
+        raise UsageError(None, f"choose a verb from {', '.join(VERBS)}")
+    verb, tokens = argv[0], iter(argv[1:])
+    words = VERBS[verb][1].split() + ["--help"]
+    values = {word: OPTIONS[word][2] for word in words}
+    names = []
+    for token in tokens:
+        if token == "--":
+            names.extend(tokens)
+        elif token == "-h":
+            values["--help"] = True
+        elif token.startswith("--"):
+            values.update([_option(verb, words, token, tokens)])
+        else:
+            names.append(token)
+    if values.pop("--help"):
+        return _help, verb
+    if len(names) > ("NAME" in values):
+        raise UsageError(verb, f"unexpected argument {names[-1]!r}")
+    if names:
+        values["NAME"] = names[0]
+    missing = [word for word, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(verb, f"missing {', '.join(missing)}")
+    args = {word.lstrip("-").lower().replace("-", "_"): value
+            for word, value in values.items()}
+    return VERBS[verb][0], SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; keep that contract
-        return exc.code if exc.code is not None else 2
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        verb, message = exc.args
+        print(f"{_usage(verb)}\nerror: {message}", file=sys.stderr)
+        return 2
     # ValueError covers ExpansionError, UnsupportedAlgebraError and
     # json.JSONDecodeError
     try:
-        return args.func(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

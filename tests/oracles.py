@@ -1,9 +1,18 @@
 """Independent reference implementations used by several test modules."""
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
 
+from ckexpand.cli import (
+    cmd_algebra,
+    cmd_atlas,
+    cmd_contract,
+    cmd_expand,
+    cmd_verify,
+)
+from ckexpand.liealg import BUILTIN_NAMES
 from ckexpand.poly import ONE, Poly, Scalar, _constant, _mono_div, exact_div
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
@@ -195,3 +204,66 @@ def oracle_proportional(p, q):
     if key != okey:
         return False
     return (p.scale(olc) - q.scale(lc)).is_zero
+
+
+_BUILTINS = sorted(BUILTIN_NAMES) + ["ext-galilei", "ck"]
+_BOUND_HELP = "a value >= 0 to record; the reduction is exact at any value"
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser that ``ck`` used before its table-driven one,
+    kept unchanged (apart from its name) as the reference for
+    ``ckexpand.cli.parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="ck",
+        description="exact expansions and contractions of kinematical algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_name(p):
+        p.add_argument(
+            "name",
+            help=f"builtin algebra ({', '.join(_BUILTINS)}) or JSON file path",
+        )
+
+    p = sub.add_parser("algebra", help="show or dump an algebra")
+    add_name(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_algebra)
+
+    p = sub.add_parser("verify", help="Jacobi and Casimir centrality checks")
+    add_name(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("contract", help="Inonu-Wigner contraction")
+    add_name(p)
+    p.add_argument(
+        "--kind", required=True, choices=["space-time", "speed-space"]
+    )
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_contract)
+
+    p = sub.add_parser("expand", help="run one expansion")
+    add_name(p)
+    p.add_argument("--axis", required=True, type=int, choices=[1, 2])
+    p.add_argument(
+        "--omega",
+        default="sym",
+        help="target coefficient: 'sym', an integer or a rational (default sym)",
+    )
+    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
+    p.add_argument(
+        "--expect-failure",
+        action="store_true",
+        help="treat 'closes-but-not-ck' as the desired outcome",
+    )
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_expand)
+
+    p = sub.add_parser("atlas", help="run every expansion arrow")
+    p.add_argument("--degree-bound", type=int, help=_BOUND_HELP)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_atlas)
+
+    return parser

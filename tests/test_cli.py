@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ckexpand.cli import main
+from ckexpand import cli
+from ckexpand.cli import VERBS, UsageError, main, parse_args
 from ckexpand.expand import ATLAS
 from ckexpand.liealg import BUILTIN_NAMES, make_ck_algebra
+from oracles import argparse_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -164,6 +166,117 @@ def test_bad_input_exit_code_2(capsys, tmp_path):
     assert code == 2
 
 
+# every form of command line the argparse parser accepted, and the usage
+# errors it refused with exit 2
+PARSER_CASES = [
+    "algebra so4",
+    "algebra --json so4",
+    "algebra so4 --js",
+    "algebra -- so4",
+    "algebra --json -- so4",
+    "algebra -5",
+    "verify ext-galilei --json --json",
+    "contract so4 --kind space-time",
+    "contract --kind=speed-space so4 --json",
+    "contract so4 --kind space-time --kind speed-space",
+    "contract so4 --ki speed-space",
+    "expand poincare --axis 1",
+    "expand --axis=2 poincare --omega=1/2",
+    "expand poincare --axis 01",
+    "expand poincare --axis 1 --omega -1",
+    "expand poincare --axis 1 --omega=-3",
+    "expand poincare --axis 1 --degree-bound -5",
+    "expand poincare --axis 1 --deg 3 --expect",
+    "expand galilei --ax 2 --om 2 --deg=0 --expect-failure --json",
+    "expand poincare --axis 2 --axis 1",
+    "atlas",
+    "atlas --json --degree-bound 2",
+    "atlas --degree-bound=3",
+    "",
+    "bogus so4",
+    "--json algebra so4",
+    "algebra",
+    "atlas so4",
+    "algebra so4 extra",
+    "expand poincare",
+    "expand --axis 1",
+    "contract so4",
+    "expand poincare --axis 3",
+    "expand poincare --axis one",
+    "expand poincare --axis",
+    "expand poincare --axis --json",
+    "expand poincare --axis 1 --degree-bound x",
+    "contract so4 --kind bogus",
+    "algebra so4 --bogus",
+    "expand poincare --axis 1 --=1",
+    "algebra so4 --json=1",
+    "expand -- poincare --axis 1",
+]
+PARSED_FIELDS = ("name", "json", "axis", "omega", "degree_bound",
+                 "expect_failure", "kind")
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES)
+def test_parser_matches_the_argparse_oracle(capsys, argv):
+    argv = argv.split()
+    try:
+        expected = argparse_oracle().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        expected = None
+    capsys.readouterr()
+    if expected is None:
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ck") and "\nerror: " in err
+        return
+    handler, args = parse_args(argv)
+    assert handler is expected.func
+    for field in PARSED_FIELDS:
+        assert getattr(args, field, None) == getattr(expected, field, None)
+
+
+@pytest.mark.parametrize("argv", [
+    "-h", "--help", "expand -h", "expand poincare --axis 1 --he", "atlas -h",
+])
+def test_help_names_every_verb_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ck")
+    verb = argv.split()[0]
+    if verb in VERBS:
+        verbs = [verb]
+    else:
+        verbs = list(VERBS)
+        assert cli.__doc__.strip() in out
+    for verb in verbs:
+        assert f"ck {verb} [-h]" in out
+        for word in VERBS[verb][1].split():
+            assert word in out
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_quietly(buffered):
+    # `ck algebra so4 | head -1`: the reader is gone before ck writes
+    env = cold_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckexpand.cli", "algebra", "so4"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_unknown_algebra_message_is_unquoted(capsys):
     code, out, err = run(capsys, "algebra", "nosuch")
     assert code == 2
@@ -263,7 +376,8 @@ print(json.dumps({
     "executed": [name for name, attr in defines.items()
                  if attr in object.__getattribute__(
                      sys.modules["ckexpand." + name], "__dict__")],
-    "loaded": sorted(set(sys.modules) & {"dataclasses", "inspect"}),
+    "loaded": sorted(set(sys.modules) & {"dataclasses", "inspect", "argparse",
+                                         "gettext", "locale"}),
 }))
 """
 
@@ -277,7 +391,8 @@ print(json.dumps({
 ], ids=["algebra", "contract", "verify", "expand"])
 def test_cold_command_runs_only_the_modules_it_needs(argv, executed):
     # dataclasses pulls in inspect, ast, dis and tokenize, and every
-    # @dataclass compiles its methods with exec on each cold start
+    # @dataclass compiles its methods with exec on each cold start;
+    # argparse pulls in gettext, and its first parse locale
     proc = run_cold("-c", EXECUTED_PROBE, *argv.split())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
