@@ -21,22 +21,15 @@ from .liealg import (
     BUILTIN_NAMES,
     CATALOG,
     ContractionError,
-    Decomposition,
     FamilyMember,
-    Involution,
     LieAlgebra,
     UnsupportedAlgebraError,
-    apply_involution,
     builtin_algebra,
-    cartan_check,
-    catalog_arrows,
-    catalog_lookup,
     check_structure,
     contract,
     identify,
     make_ck_algebra,
     make_extended_galilei,
-    standard_involutions,
     with_central_generator,
 )
 from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
@@ -57,7 +50,6 @@ _LAZY = {
         "MixedAlgebraError",
         "UEAElement",
         "casimir",
-        "central_reduce",
         "is_central",
         "parse_element",
         "pbw_normalize",

@@ -35,7 +35,9 @@ __all__ = ["main"]
 
 
 def _load_algebra(name: str) -> LieAlgebra:
-    if os.path.exists(name):
+    # only a file is a definition: a directory named like a builtin
+    # must not shadow it
+    if os.path.isfile(name):
         with open(name) as handle:
             return LieAlgebra.from_json_dict(json.load(handle))
     return builtin_algebra(name)

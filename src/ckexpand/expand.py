@@ -33,11 +33,9 @@ from .groebner import (
 )
 from .liealg import (
     CATALOG,
-    Decomposition,
     LieAlgebra,
     UnsupportedAlgebraError,
     builtin_algebra,
-    cartan_check,
     identify,
     make_ck_algebra,
     with_central_generator,
@@ -241,22 +239,34 @@ class HypothesisReport(NamedTuple):
 def centralizer_split(g: LieAlgebra, unchanged) -> HypothesisReport:
     """Split generators into k (those commuting with J, given as the labels
     ``build_primed_generators`` left unchanged) and t; check the shortcut
-    hypotheses ([k,k] in k and [k,t] in t) with ``cartan_check``."""
+    hypotheses [k,k] in k and [k,t] in t.
+
+    Each violation is (X, Y, labels of the components of [X,Y] in k) for X
+    in k and Y in t, ordered by X, then Y, in index order.
+    """
     k_idx = tuple(i for i, lab in enumerate(g.generators) if lab in unchanged)
     t_idx = tuple(i for i in range(g.dim) if i not in k_idx)
-    cartan = cartan_check(g, Decomposition(k=k_idx, t=t_idx))
-    violations = tuple(
-        (x, y, bad) for kind, x, y, bad in cartan.violations if kind == "hp"
+    k = set(k_idx)
+    k_closes = all(
+        n in k
+        for i, j in itertools.combinations(k_idx, 2)
+        for n, _ in g.table[i][j]
     )
+    violations = []
+    for i in k_idx:
+        for j in t_idx:
+            bad = tuple(g.generators[n] for n, _ in g.table[i][j] if n in k)
+            if bad:
+                violations.append((g.generators[i], g.generators[j], bad))
     central_only = bool(violations) and all(
         g.is_central(g.index(lab)) for _, _, bad in violations for lab in bad
     )
     return HypothesisReport(
         k_labels=tuple(g.generators[i] for i in k_idx),
         t_labels=tuple(g.generators[i] for i in t_idx),
-        k_closes=cartan.hh_ok,
-        kt_in_t=cartan.hp_ok,
-        violations=violations,
+        k_closes=k_closes,
+        kt_in_t=not violations,
+        violations=tuple(violations),
         violations_central_only=central_only,
     )
 
@@ -421,8 +431,8 @@ class ExpansionReport:
         self.primed = None
         self.constraints = None
         self.per_pair = None
-        # central remainders and their witnesses (central_reduce triples)
-        # from derive_constraints; not written to JSON
+        # central remainders and their witnesses (the triples of
+        # CentralReducer.reduce) from derive_constraints; not written to JSON
         self.remainders = None
         self.witnesses = None
         self.order_independent = True

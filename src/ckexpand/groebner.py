@@ -215,10 +215,6 @@ class RelationIdeal(NamedTuple):
     generators: tuple = ()
     groebner: tuple = ()
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.groebner
-
 
 def groebner_basis(gens, unknowns) -> RelationIdeal:
     """Reduced Groebner basis under the frozen graded-lex order.

@@ -2,10 +2,9 @@
 
 Covers the two-parameter Cayley-Klein family of 3d isometry / (2+1)d
 kinematical algebras, its centrally extended Galilei cousin, reading an
-algebra's place in the family off its bracket table, involutive
-automorphisms and their Cartan-type decompositions, Inonu-Wigner
-contractions, and the nine-cell catalog of algebras indexed by the signs
-of the two curvature coefficients (w1, w2).
+algebra's place in the family off its bracket table, Inonu-Wigner
+contractions, and the names of the nine cells indexed by the signs of the
+two curvature coefficients (w1, w2).
 
 Generator order is fixed globally as H, P1, P2, K1, K2, J, Xi; bracket
 tables store only pairs (i, j) with i < j, antisymmetry being implied.
@@ -15,7 +14,6 @@ PBW rewriting and the derivation rule read.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .poly import (
@@ -24,9 +22,6 @@ from .poly import (
 
 __all__ = [
     "LieAlgebra",
-    "Involution",
-    "Decomposition",
-    "CatalogEntry",
     "ContractionError",
     "UnsupportedAlgebraError",
     "FamilyMember",
@@ -35,12 +30,7 @@ __all__ = [
     "with_central_generator",
     "identify",
     "check_structure",
-    "standard_involutions",
-    "apply_involution",
-    "cartan_check",
     "contract",
-    "catalog_lookup",
-    "catalog_arrows",
     "builtin_algebra",
     "BUILTIN_NAMES",
 ]
@@ -110,13 +100,6 @@ class LieAlgebra:
             for m, d in self.table[n][k]:
                 add_term(out, m, c * d)
         return out
-
-    def same_brackets(self, other: "LieAlgebra") -> bool:
-        """Structural equality of bracket tables under the fixed order."""
-        return (
-            self.generators == other.generators
-            and self.brackets == other.brackets
-        )
 
     def combo_str(self, combo: dict) -> str:
         if not combo:
@@ -403,124 +386,6 @@ def check_structure(g: LieAlgebra) -> StructureReport:
     )
 
 
-# -- involutions and decompositions ------------------------------------------
-
-
-class Involution:
-    """A sign map on generators squaring to the identity."""
-
-    def __init__(self, name, signs):
-        if any(s not in (1, -1) for s in signs.values()):
-            raise ValueError("involution signs must be +1 or -1")
-        self.name = name
-        self.signs = signs
-
-    def sign(self, label: str) -> int:
-        return self.signs[label]
-
-
-class Decomposition(NamedTuple):
-    """Index split g = t + k with k the invariant subalgebra part."""
-
-    k: tuple
-    t: tuple
-
-
-def standard_involutions() -> dict:
-    """Parity, time-reversal and their product.
-
-    The central generator Xi carries the product of the momentum and
-    boost signs, the only assignment compatible with [P_i, K_i] = m*Xi;
-    so Xi is even under P and odd under T and PT.
-    """
-    return {
-        "P": Involution("P", {"J": 1, "Xi": 1, "H": 1,
-                              "P1": -1, "P2": -1, "K1": -1, "K2": -1}),
-        "T": Involution("T", {"J": 1, "Xi": -1, "H": -1,
-                              "P1": 1, "P2": 1, "K1": -1, "K2": -1}),
-        "PT": Involution("PT", {"J": 1, "Xi": -1, "H": -1,
-                                "P1": -1, "P2": -1, "K1": 1, "K2": 1}),
-    }
-
-
-class InvolutionReport(NamedTuple):
-    involution: str
-    is_automorphism: bool
-    violations: list
-    decomposition: Decomposition
-
-
-def apply_involution(g: LieAlgebra, inv: Involution) -> InvolutionReport:
-    """Split g into the sign eigenspaces of inv; it is an automorphism
-    exactly when they pass ``cartan_check``."""
-    missing = [lab for lab in g.generators if lab not in inv.signs]
-    if missing:
-        raise ValueError(f"involution {inv.name} misses generators {missing}")
-    k = tuple(i for i, lab in enumerate(g.generators) if inv.sign(lab) == 1)
-    t = tuple(i for i, lab in enumerate(g.generators) if inv.sign(lab) == -1)
-    decomposition = Decomposition(k=k, t=t)
-    cartan = cartan_check(g, decomposition)
-    return InvolutionReport(
-        involution=inv.name,
-        is_automorphism=cartan.ok,
-        violations=cartan.violations,
-        decomposition=decomposition,
-    )
-
-
-class CartanReport(NamedTuple):
-    hh_ok: bool
-    hp_ok: bool
-    pp_ok: bool
-    p_abelian: bool
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return self.hh_ok and self.hp_ok and self.pp_ok
-
-
-def cartan_check(g: LieAlgebra, d: Decomposition) -> CartanReport:
-    """Verify [h,h] in h, [h,p] in p, [p,p] in h for h = k, p = t.
-
-    Each violation is (kind, X, Y, labels of the components outside the
-    allowed part).  The hh pairs come first, then the hp pairs with the h
-    generator first (h outer, p inner), then the pp pairs, each in index
-    order.
-    """
-    h, p = set(d.k), set(d.t)
-    if h | p != set(range(g.dim)) or h & p:
-        raise ValueError("decomposition must partition the generators")
-    hs, ps = sorted(h), sorted(p)
-    scans = (
-        ("hh", itertools.combinations(hs, 2), h),
-        ("hp", itertools.product(hs, ps), p),
-        ("pp", itertools.combinations(ps, 2), h),
-    )
-    checks = {}
-    violations = []
-    p_abelian = True
-    for kind, pairs, allowed in scans:
-        checks[kind] = True
-        for i, j in pairs:
-            combo = g.table[i][j]
-            if kind == "pp" and combo:
-                p_abelian = False
-            bad = tuple(g.generators[n] for n, _ in combo if n not in allowed)
-            if bad:
-                checks[kind] = False
-                violations.append(
-                    (kind, g.generators[i], g.generators[j], bad)
-                )
-    return CartanReport(
-        hh_ok=checks["hh"],
-        hp_ok=checks["hp"],
-        pp_ok=checks["pp"],
-        p_abelian=p_abelian,
-        violations=violations,
-    )
-
-
 # -- contractions -------------------------------------------------------------
 
 CONTRACTION_SCALED = {
@@ -566,48 +431,18 @@ def contract(g: LieAlgebra, kind: str) -> LieAlgebra:
 # -- the nine-cell catalog -----------------------------------------------------
 
 
-class CatalogEntry(NamedTuple):
-    signs: tuple
-    algebra: str
-    space: str
-    dim_s1: int = 3
-    dim_s2: int = 4
-    curv_s1: str = "w1"
-    curv_s2: str = "w2"
-    notes: str = ""
-
-
-_SIGN = {"+": 1, "0": 0, "-": -1, 1: 1, 0: 0, -1: -1}
-
+# (sign of w1, sign of w2) -> algebra name; each comment names the space
 CATALOG = {
-    (1, 1): CatalogEntry((1, 1), "so(4)", "3d Elliptic space",
-                         notes="w1 = +1/R^2"),
-    (0, 1): CatalogEntry((0, 1), "iso(3)", "3d Euclidean space"),
-    (-1, 1): CatalogEntry((-1, 1), "so(3,1)", "3d Hyperbolic space",
-                          notes="w1 = -1/R^2"),
-    (1, 0): CatalogEntry((1, 0), "t4(so(2)+so(2))",
-                         "Oscillating NH (2+1)d space-time",
-                         notes="w1 = +1/R^2; absolute time (c = infinity)"),
-    (0, 0): CatalogEntry((0, 0), "iiso(2)", "Galilean (2+1)d space-time",
-                         notes="absolute time (c = infinity)"),
-    (-1, 0): CatalogEntry((-1, 0), "t4(so(2)+so(1,1))",
-                          "Expanding NH (2+1)d space-time",
-                          notes="w1 = -1/R^2; absolute time (c = infinity)"),
-    (1, -1): CatalogEntry((1, -1), "so(2,2)", "Anti-de Sitter (2+1)d space-time",
-                          notes="w1 = +1/R^2; w2 = -1/c^2"),
-    (0, -1): CatalogEntry((0, -1), "iso(2,1)", "Minkowskian (2+1)d space-time",
-                          notes="w2 = -1/c^2"),
-    (-1, -1): CatalogEntry((-1, -1), "so(3,1)", "de Sitter (2+1)d space-time",
-                           notes="w1 = -1/R^2; w2 = -1/c^2"),
+    (1, 1): "so(4)",  # 3d Elliptic space, w1 = +1/R^2
+    (0, 1): "iso(3)",  # 3d Euclidean space
+    (-1, 1): "so(3,1)",  # 3d Hyperbolic space, w1 = -1/R^2
+    (1, 0): "t4(so(2)+so(2))",  # Oscillating NH (2+1)d space-time, w1 = +1/R^2
+    (0, 0): "iiso(2)",  # Galilean (2+1)d space-time
+    (-1, 0): "t4(so(2)+so(1,1))",  # Expanding NH (2+1)d space-time, w1 = -1/R^2
+    (1, -1): "so(2,2)",  # Anti-de Sitter (2+1)d space-time, w2 = -1/c^2
+    (0, -1): "iso(2,1)",  # Minkowskian (2+1)d space-time, w2 = -1/c^2
+    (-1, -1): "so(3,1)",  # de Sitter (2+1)d space-time, w2 = -1/c^2
 }
-
-# off-grid tenth entry: the centrally extended Galilei algebra
-EXTENDED_GALILEI_ENTRY = CatalogEntry(
-    (0, 0),
-    "iiso(2)-overline",
-    "Extended Galilei (2+1)d space-time (central extension by Xi)",
-    notes="off-grid entry; mass parameter m",
-)
 
 
 def _scalar_sign(value: Scalar):
@@ -620,44 +455,8 @@ def _scalar_sign(value: Scalar):
 def _ck_display_name(w1: Scalar, w2: Scalar) -> str:
     s1, s2 = _scalar_sign(w1), _scalar_sign(w2)
     if s1 is not None and s2 is not None:
-        return CATALOG[(s1, s2)].algebra
+        return CATALOG[(s1, s2)]
     return f"ck(w1={w1}, w2={w2})"
-
-
-def catalog_lookup(key) -> CatalogEntry:
-    """Entry by sign pair like ('+','-') / (1,-1) or by algebra name."""
-    if isinstance(key, str):
-        if key == EXTENDED_GALILEI_ENTRY.algebra:
-            return EXTENDED_GALILEI_ENTRY
-        matches = [e for e in CATALOG.values() if e.algebra == key]
-        if not matches:
-            raise KeyError(f"no catalog entry named {key!r}")
-        return matches[0]
-    try:
-        signs = (_SIGN[key[0]], _SIGN[key[1]])
-    except (KeyError, IndexError, TypeError):
-        raise KeyError(f"bad catalog key {key!r}") from None
-    return CATALOG[signs]
-
-
-def catalog_arrows() -> list:
-    """(source signs, target signs, kind, direction) for all grid edges.
-
-    12 contraction arrows (toward a zero coefficient) and the 12 reverse
-    expansion arrows.
-    """
-    arrows = []
-    for s2 in (1, 0, -1):
-        for s1 in (1, -1):
-            arrows.append(((s1, s2), (0, s2), "space-time", "contraction"))
-    for s1 in (1, 0, -1):
-        for s2 in (1, -1):
-            arrows.append(((s1, s2), (s1, 0), "speed-space", "contraction"))
-    arrows.extend(
-        (target, source, kind, "expansion")
-        for source, target, kind, _ in list(arrows)
-    )
-    return arrows
 
 
 BUILTIN_NAMES = {

@@ -217,9 +217,6 @@ class Poly:
             return NotImplemented
         return Poly(terms_add(self.terms, terms_neg(other.terms)))
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     # Poly is tested first: isinstance against Fraction, an ABC, is slow
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -557,9 +554,6 @@ class Scalar:
     def __sub__(self, other):
         return self._sum(other, True)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __neg__(self):
         # negation keeps a normalized (num, den) normalized
         q = self.value
@@ -610,12 +604,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int):
         if n < 0:

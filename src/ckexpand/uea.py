@@ -39,7 +39,6 @@ __all__ = [
     "casimir",
     "is_central",
     "standard_relations",
-    "central_reduce",
     "parse_element",
 ]
 
@@ -473,6 +472,9 @@ class CentralReducer:
             self._degree = degree
 
     def reduce(self, x: UEAElement):
+        """Remainder of x modulo the relation ideal, with a witness: the
+        (relation label, cofactor exponents, coefficient) triples such that
+        x = remainder + sum coeff * (element - scalar) * cofactor."""
         terms, entries = self._substitute(x.terms)
         self._grow(UEAElement(self.algebra, terms).degree())
         residual, combo = self.span.reduce(terms)
@@ -484,15 +486,6 @@ class CentralReducer:
             key=lambda item: (item[0], grlex_key(item[1])),
         )
         return remainder, witness
-
-
-def central_reduce(x: UEAElement, relations):
-    """Remainder of x modulo the central-relation ideal, with a witness.
-
-    The witness lists (relation label, cofactor exponents, coefficient)
-    triples such that x = remainder + sum coeff * (element - scalar) * cofactor.
-    """
-    return CentralReducer(x.algebra, relations).reduce(x)
 
 
 # -- parsing the textual element format ----------------------------------------

@@ -17,6 +17,30 @@ from ckexpand.poly import ONE, Poly, Scalar, _constant, _mono_div, exact_div
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
 
+def same_brackets(g, h) -> bool:
+    """Structural equality of two bracket tables under the fixed order."""
+    return g.generators == h.generators and g.brackets == h.brackets
+
+
+# the contraction that sends the coefficient w_axis to zero
+CONTRACTION_KIND = {1: "space-time", 2: "speed-space"}
+
+
+def grid_edges() -> list:
+    """The 12 edges of the nine-cell grid as (cell, neighbour, axis): each
+    cell whose sign on the axis is zero, paired with its two neighbours
+    along that axis.  Contracting the neighbour along the axis gives the
+    cell; expanding the cell gives the neighbour."""
+    edges = []
+    for cell in sorted(set(BUILTIN_NAMES.values())):
+        for axis in (1, 2):
+            if cell[axis - 1] == 0:
+                for sign in (1, -1):
+                    neighbour = (sign, cell[1]) if axis == 1 else (cell[0], sign)
+                    edges.append((cell, neighbour, axis))
+    return edges
+
+
 def oracle_normalize(algebra, word, rng):
     """Normal-order a word by resolving a *randomly chosen* inversion at
     each step (the engine always picks the first one); by PBW both must
@@ -190,6 +214,24 @@ def to_sympy(s: Scalar):
             * sympy.Mul(*(sympy.Symbol(sym) ** e for sym, e in mono))
             for mono, c in p.terms.items()
         ))
+
+    return poly(s.num) / poly(s.den)
+
+
+def to_sympy_field(field, s: Scalar):
+    """A Scalar as an element of a sympy ``field()`` of rational functions
+    over QQ.  The field keeps each element in lowest terms with a monic
+    denominator, so equal values are equal elements and ``==`` is exact
+    without a ``cancel``."""
+    names = [str(x) for x in field.symbols]
+    qq = field.domain
+
+    def poly(p):
+        return field(field.ring({
+            tuple(dict(mono).get(name, 0) for name in names):
+                qq(c.numerator, c.denominator)
+            for mono, c in p.terms.items()
+        }))
 
     return poly(s.num) / poly(s.den)
 

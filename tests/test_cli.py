@@ -35,9 +35,9 @@ def cold_env():
     return env
 
 
-def run_cold(*args):
+def run_cold(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, *args], cwd=cwd,
         env=cold_env(), capture_output=True, text=True, timeout=300,
     )
 
@@ -361,6 +361,14 @@ def test_module_entry_point_matches_main(capsys):
     proc = run_cold("-m", "ckexpand.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_a_directory_named_like_a_builtin_does_not_shadow_it(capsys, tmp_path):
+    (tmp_path / "so4").mkdir()
+    proc = run_cold("-m", "ckexpand.cli", "algebra", "so4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "algebra", "so4")[1]
+    assert "algebra so4 (6 generators" in proc.stdout
 
 
 # what a fresh process has run of the lazily registered modules, read from

@@ -39,7 +39,9 @@ from ckexpand.liealg import (
 from ckexpand.poly import parse_scalar
 from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
 
-from oracles import oracle_reconstruct, oracle_span_reducer
+from oracles import (
+    grid_edges, oracle_reconstruct, oracle_span_reducer, same_brackets,
+)
 
 AB = ("a1", "a2")
 REFERENCE = Path(__file__).resolve().parent.parent / "ckbench" / "reference.json"
@@ -137,9 +139,9 @@ def test_split_linear_rejects_a_power_of_the_coefficient():
 
 def test_numeric_omega_targets_the_right_cell():
     p = make_problem("poincare", 1, omega=-1)
-    assert p.target.same_brackets(make_ck_algebra(-1, -1))
+    assert same_brackets(p.target, make_ck_algebra(-1, -1))
     p = make_problem("galilei", 2, omega=1)
-    assert p.target.same_brackets(builtin_algebra("euclid3"))
+    assert same_brackets(p.target, builtin_algebra("euclid3"))
 
 
 # -- Casimir splitting --------------------------------------------------------
@@ -642,9 +644,26 @@ def test_atlas_composition():
     assert all(r.order_independent for r in reports if r.per_pair is not None)
     # targets land on the advertised cells
     by_name = {r.problem.name: r for r in reports}
-    assert by_name["iso(2,1)->so(3,1)"].problem.target.same_brackets(
-        make_ck_algebra(-1, -1)
+    assert same_brackets(
+        by_name["iso(2,1)->so(3,1)"].problem.target, make_ck_algebra(-1, -1)
     )
+
+
+def test_atlas_rows_are_the_twelve_grid_edges():
+    # ATLAS is the one table of the expansion arrows: its rows that should
+    # pass expand each grid cell with a zero sign to both neighbours along
+    # that axis, once each
+    rows = []
+    for name, initial, axis, omega, expected_failure in ATLAS:
+        if expected_failure:
+            continue
+        cell = (0, 0) if initial == "ext-galilei" else BUILTIN_NAMES[initial]
+        # the two axis-1 edges out of (0, 0) start from the extension
+        assert (initial == "ext-galilei") == ((cell, axis) == ((0, 0), 1))
+        target = (omega, cell[1]) if axis == 1 else (cell[0], omega)
+        rows.append((cell, target, axis))
+    assert len(rows) == len(set(rows)) == 12
+    assert sorted(rows) == sorted(grid_edges())
 
 
 @pytest.fixture(scope="module")

@@ -1,32 +1,28 @@
-"""Structure constants, involutions, contractions, catalog."""
+"""Structure constants, gradings, contractions, catalog."""
 
 import itertools
 import re
 
 import pytest
 
+from ckexpand.expand import centralizer_split
 from ckexpand.liealg import (
     BUILTIN_NAMES,
     CATALOG,
     ContractionError,
-    Decomposition,
-    Involution,
     LieAlgebra,
     UnsupportedAlgebraError,
-    apply_involution,
     builtin_algebra,
-    cartan_check,
-    catalog_arrows,
-    catalog_lookup,
     check_structure,
     contract,
     identify,
     make_ck_algebra,
     make_extended_galilei,
-    standard_involutions,
     with_central_generator,
 )
 from ckexpand.poly import Scalar, as_scalar
+
+from oracles import CONTRACTION_KIND, grid_edges, same_brackets
 
 SYMBOLIC = make_ck_algebra("w1", "w2")
 
@@ -120,74 +116,67 @@ def test_bracket_antisymmetry_accessor():
     assert SYMBOLIC.bracket(i, i) == {}
 
 
-# -- involutions and Cartan decompositions -------------------------------------
+# -- parity and time reversal, and the centralizer split ----------------------
+#
+# Parity P, time reversal T and their product PT flip the signs of these
+# generators.  The central generator Xi carries the product of the
+# momentum and boost signs, the only assignment compatible with
+# [P_i, K_i] = m*Xi.
+
+SIGN_MAPS = {
+    "P": {"J": 1, "Xi": 1, "H": 1, "P1": -1, "P2": -1, "K1": -1, "K2": -1},
+    "T": {"J": 1, "Xi": -1, "H": -1, "P1": 1, "P2": 1, "K1": -1, "K2": -1},
+    "PT": {"J": 1, "Xi": -1, "H": -1, "P1": -1, "P2": -1, "K1": 1, "K2": 1},
+}
+
+
+def grading_violations(g, signs):
+    """The brackets [X,Y] with a component Z whose sign is not sign(X) *
+    sign(Y): the sign map is an automorphism exactly when there are none."""
+    return [
+        (g.generators[i], g.generators[j], g.generators[n])
+        for (i, j), combo in g.brackets.items()
+        for n in combo
+        if signs[g.generators[n]]
+        != signs[g.generators[i]] * signs[g.generators[j]]
+    ]
 
 
 @pytest.mark.parametrize("kind", ["P", "T", "PT"])
 def test_involutions_are_automorphisms(kind):
-    inv = standard_involutions()[kind]
     for g in (SYMBOLIC, make_extended_galilei()):
-        report = apply_involution(g, inv)
-        assert report.is_automorphism, report.violations
+        assert not grading_violations(g, SIGN_MAPS[kind])
 
 
 def test_pt_decomposition_is_cartan():
-    # invariant part <K1, K2, J>, anti-invariant part <H, P1, P2>
-    report = apply_involution(SYMBOLIC, standard_involutions()["PT"])
-    k_labels = {SYMBOLIC.generators[i] for i in report.decomposition.k}
-    assert k_labels == {"K1", "K2", "J"}
-    cartan = cartan_check(SYMBOLIC, report.decomposition)
-    assert cartan.ok
-    assert not cartan.p_abelian  # [P1, P2] = w1*w2*J sits in h
+    # invariant part <K1, K2, J>, anti-invariant part <H, P1, P2>: the
+    # shortcut hypotheses hold, and [P1, P2] = w1*w2*J sits in k
+    split = centralizer_split(SYMBOLIC, ("K1", "K2", "J"))
+    assert split.holds
+    assert split.t_labels == ("H", "P1", "P2")
+    assert SYMBOLIC.bracket_labels("P1", "P2") == {"J": as_scalar("w1*w2")}
 
 
 def test_p_decomposition_is_cartan():
-    report = apply_involution(SYMBOLIC, standard_involutions()["P"])
-    k_labels = {SYMBOLIC.generators[i] for i in report.decomposition.k}
-    assert k_labels == {"H", "J"}
-    assert cartan_check(SYMBOLIC, report.decomposition).ok
+    split = centralizer_split(SYMBOLIC, ("H", "J"))
+    assert split.holds
+    assert split.t_labels == ("P1", "P2", "K1", "K2")
 
 
 def test_a_sign_map_that_is_no_automorphism_fails_the_grading_scan():
     # flipping P1 alone: [H,P1] = w1*K1 lands in k where t is required
-    signs = {label: 1 for label in SYMBOLIC.generators}
-    signs["P1"] = -1
-    report = apply_involution(SYMBOLIC, Involution("P1 only", signs))
-    assert not report.is_automorphism
-    assert ("hp", "H", "P1", ("K1",)) in report.violations
-    cartan = cartan_check(SYMBOLIC, report.decomposition)
-    assert (report.is_automorphism, report.violations) == (
-        cartan.ok, cartan.violations
+    k = tuple(label for label in SYMBOLIC.generators if label != "P1")
+    split = centralizer_split(SYMBOLIC, k)
+    assert split.t_labels == ("P1",)
+    assert (split.k_closes, split.kt_in_t) == (False, False)
+    # the k generator first, then the t one, each in index order
+    assert split.violations == (
+        ("H", "P1", ("K1",)),
+        ("P2", "P1", ("J",)),
+        ("K1", "P1", ("H",)),
+        ("J", "P1", ("P2",)),
     )
-    # hh pairs, then hp pairs with the k generator first, each in index order
-    assert cartan.violations == [
-        ("hh", "H", "K1", ("P1",)),
-        ("hh", "P2", "J", ("P1",)),
-        ("hp", "H", "P1", ("K1",)),
-        ("hp", "P2", "P1", ("J",)),
-        ("hp", "K1", "P1", ("H",)),
-        ("hp", "J", "P1", ("P2",)),
-    ]
-    assert (cartan.hh_ok, cartan.hp_ok, cartan.pp_ok) == (False, False, True)
-
-
-def test_cartan_check_rejects_non_partition():
-    with pytest.raises(ValueError):
-        cartan_check(SYMBOLIC, Decomposition(k=(0, 1), t=(1, 2, 3, 4, 5)))
-
-
-def test_involution_signs_must_be_plus_or_minus_one():
-    with pytest.raises(ValueError, match="signs must be"):
-        Involution("x", {"H": 2})
-
-
-def test_decompositions_and_catalog_entries_are_immutable():
-    for record, attr in (
-        (Decomposition(k=(0,), t=(1,)), "k"),
-        (catalog_lookup((0, -1)), "algebra"),
-    ):
-        with pytest.raises(AttributeError):
-            setattr(record, attr, None)
+    assert not split.violations_central_only
 
 
 # -- contractions ---------------------------------------------------------------
@@ -195,30 +184,28 @@ def test_decompositions_and_catalog_entries_are_immutable():
 
 def test_space_time_contraction_kills_w1():
     g = contract(SYMBOLIC, "space-time")
-    assert g.same_brackets(make_ck_algebra(0, "w2"))
+    assert same_brackets(g, make_ck_algebra(0, "w2"))
     assert identify(g).w1.is_zero
 
 
 def test_speed_space_contraction_kills_w2():
     g = contract(SYMBOLIC, "speed-space")
-    assert g.same_brackets(make_ck_algebra("w1", 0))
+    assert same_brackets(g, make_ck_algebra("w1", 0))
     assert identify(g).w2.is_zero
 
 
 def test_all_twelve_contraction_arrows():
-    arrows = [a for a in catalog_arrows() if a[3] == "contraction"]
-    assert len(arrows) == 12
-    for source, target, kind, _ in arrows:
-        got = contract(make_ck_algebra(*source), kind)
-        assert got.same_brackets(make_ck_algebra(*target)), (source, kind)
+    edges = grid_edges()
+    assert len(edges) == 12
+    for cell, neighbour, axis in edges:
+        got = contract(make_ck_algebra(*neighbour), CONTRACTION_KIND[axis])
+        assert same_brackets(got, make_ck_algebra(*cell)), (neighbour, axis)
 
 
 def test_contraction_of_extension_drops_the_center_bracket():
     g = contract(make_extended_galilei(), "speed-space")
     assert not g.bracket_labels("P1", "K1")
-    assert g.same_brackets(
-        with_central_generator(make_ck_algebra(0, 0))
-    )
+    assert same_brackets(g, with_central_generator(make_ck_algebra(0, 0)))
 
 
 def test_contraction_negative_power_is_an_error():
@@ -236,13 +223,12 @@ def test_contraction_negative_power_is_an_error():
 
 
 def test_catalog_lookup():
-    assert catalog_lookup((0, -1)).algebra == "iso(2,1)"
-    assert catalog_lookup(("+", "-")).algebra == "so(2,2)"
-    assert catalog_lookup("iso(3)").signs == (0, 1)
-    assert "Galilean" in catalog_lookup((0, 0)).space
+    assert CATALOG[(0, -1)] == "iso(2,1)"
+    assert CATALOG[(1, -1)] == "so(2,2)"
     assert len(CATALOG) == 9
+    assert make_ck_algebra(0, 1).name == "iso(3)"
     with pytest.raises(KeyError):
-        catalog_lookup((2, 0))
+        CATALOG[(2, 0)]
 
 
 def test_builtin_names_cover_the_grid():
@@ -300,7 +286,7 @@ def test_json_roundtrip():
         data = g.to_json_dict()
         assert set(data) == {"name", "generators", "parameters", "brackets"}
         back = LieAlgebra.from_json_dict(data)
-        assert back.same_brackets(g)
+        assert same_brackets(back, g)
         assert back.name == g.name
 
 

@@ -6,24 +6,21 @@ import pytest
 
 import ckexpand
 
-# the names ckexpand/__init__.py exported when it imported every module
-# eagerly, by defining module
+# every name ckexpand exports, by defining module
 EXPORTS = {
     "poly": ("Poly", "Scalar", "ScalarDivisionError", "as_scalar",
              "parse_scalar"),
     "groebner": ("ParamPoly", "RelationIdeal", "groebner_basis",
                  "ideal_equals", "reduce_mod_ideal"),
     "liealg": (
-        "BUILTIN_NAMES", "CATALOG", "ContractionError", "Decomposition",
-        "FamilyMember", "Involution", "LieAlgebra", "UnsupportedAlgebraError",
-        "apply_involution", "builtin_algebra", "cartan_check",
-        "catalog_arrows", "catalog_lookup", "check_structure", "contract",
-        "identify", "make_ck_algebra", "make_extended_galilei",
-        "standard_involutions", "with_central_generator",
+        "BUILTIN_NAMES", "CATALOG", "ContractionError", "FamilyMember",
+        "LieAlgebra", "UnsupportedAlgebraError", "builtin_algebra",
+        "check_structure", "contract", "identify", "make_ck_algebra",
+        "make_extended_galilei", "with_central_generator",
     ),
     "uea": (
         "CentralReducer", "CentralRelation", "MixedAlgebraError",
-        "UEAElement", "casimir", "central_reduce", "is_central",
+        "UEAElement", "casimir", "is_central",
         "parse_element", "pbw_normalize", "standard_relations",
         "uea_commutator", "uea_mul",
     ),

@@ -23,7 +23,6 @@ from ckexpand.uea import (
     MixedAlgebraError,
     UEAElement,
     casimir,
-    central_reduce,
     is_central,
     parse_element,
     pbw_normalize,
@@ -218,7 +217,9 @@ def test_standard_relations():
 
 def test_casimir_reduces_to_its_eigenvalue():
     relations = standard_relations(SYMBOLIC)
-    remainder, witness = central_reduce(casimir(SYMBOLIC, 1), relations)
+    remainder, witness = CentralReducer(SYMBOLIC, relations).reduce(
+        casimir(SYMBOLIC, 1)
+    )
     assert remainder == UEAElement.one(SYMBOLIC).scale(Scalar.symbol("c1"))
     assert oracle_reconstruct(remainder, witness, relations) == casimir(
         SYMBOLIC, 1
@@ -228,11 +229,11 @@ def test_casimir_reduces_to_its_eigenvalue():
 def test_reduction_witness_reconstructs_input():
     relations = standard_relations(SYMBOLIC)
     x = uea_mul(casimir(SYMBOLIC, 2), UEAElement.generator(SYMBOLIC, "J"))
-    remainder, witness = central_reduce(x, relations)
+    remainder, witness = CentralReducer(SYMBOLIC, relations).reduce(x)
     assert witness  # something was actually subtracted
     assert oracle_reconstruct(remainder, witness, relations) == x
     # idempotent: the remainder is already fully reduced
-    again, more = central_reduce(remainder, relations)
+    again, more = CentralReducer(SYMBOLIC, relations).reduce(remainder)
     assert again == remainder
     assert not more
 
@@ -240,7 +241,7 @@ def test_reduction_witness_reconstructs_input():
 def test_degree_one_relation_needs_the_wider_default_bound():
     relations = standard_relations(EXT)
     x = parse_element(EXT, "m * K1 Xi")
-    remainder, witness = central_reduce(x, relations)
+    remainder, witness = CentralReducer(EXT, relations).reduce(x)
     assert remainder == parse_element(EXT, "m*xi * K1")
     assert any(label == "mXi" for label, _, _ in witness)
     assert oracle_reconstruct(remainder, witness, relations) == x
@@ -274,7 +275,7 @@ def test_relation_from_foreign_algebra_rejected():
         "C1", casimir(builtin_algebra("poincare"), 1), Scalar.symbol("c1")
     )
     with pytest.raises(MixedAlgebraError):
-        central_reduce(casimir(SYMBOLIC, 1), [foreign])
+        CentralReducer(SYMBOLIC, [foreign]).reduce(casimir(SYMBOLIC, 1))
 
 
 def test_reducer_rows_are_built_by_right_multiplication(monkeypatch):
