@@ -146,6 +146,9 @@ def grading_violations(g, signs):
 def test_involutions_are_automorphisms(kind):
     for g in (SYMBOLIC, make_extended_galilei()):
         assert not grading_violations(g, SIGN_MAPS[kind])
+    # flipping J as well breaks [J,P1] = P2, so the scan sees a wrong sign
+    flipped = {**SIGN_MAPS[kind], "J": -1}
+    assert ("P1", "J", "P2") in grading_violations(SYMBOLIC, flipped)
 
 
 def test_pt_decomposition_is_cartan():
@@ -177,6 +180,18 @@ def test_a_sign_map_that_is_no_automorphism_fails_the_grading_scan():
         ("J", "P1", ("P2",)),
     )
     assert not split.violations_central_only
+    # flipping K1, K2 and J: with several t generators the violations are
+    # ordered by the k generator, then by the t one
+    split = centralizer_split(SYMBOLIC, ("H", "P1", "P2"))
+    assert (split.k_closes, split.kt_in_t) == (False, False)
+    assert split.violations == (
+        ("H", "K1", ("P1",)),
+        ("H", "K2", ("P2",)),
+        ("P1", "K1", ("H",)),
+        ("P1", "J", ("P2",)),
+        ("P2", "K2", ("H",)),
+        ("P2", "J", ("P1",)),
+    )
 
 
 # -- contractions ---------------------------------------------------------------
