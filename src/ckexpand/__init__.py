@@ -9,8 +9,13 @@ that make an expansion close.
 every ``ck`` verb needs them.  ``groebner``, ``uea`` and ``expand`` are
 registered in ``sys.modules`` with the package but compiled and run only
 on their first attribute access, so ``ck algebra`` and ``ck contract``
-never load them and ``ck verify`` loads only ``uea``.  The package's names
-from those modules are looked up on each read by ``__getattr__``.
+never load them and ``ck verify`` loads only ``uea``.  The package
+exports the names above and each lazy module's ``__all__``, so reading
+``__all__`` loads all three.  ``__getattr__`` looks a name up on each read
+in ``groebner``, ``uea`` and ``expand``, in that order, loading each module
+it searches: a ``uea`` name read through the package also compiles
+``groebner``, and a public name the package does not export compiles all
+three.  No ``ck`` verb reads a name that way.
 """
 
 import importlib.util
@@ -36,46 +41,7 @@ from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 
 __version__ = "0.1.0"
 
-_LAZY = {
-    "groebner": (
-        "ParamPoly",
-        "RelationIdeal",
-        "groebner_basis",
-        "ideal_equals",
-        "reduce_mod_ideal",
-    ),
-    "uea": (
-        "CentralReducer",
-        "CentralRelation",
-        "MixedAlgebraError",
-        "UEAElement",
-        "casimir",
-        "is_central",
-        "parse_element",
-        "pbw_normalize",
-        "standard_relations",
-        "uea_commutator",
-        "uea_mul",
-    ),
-    "expand": (
-        "ATLAS",
-        "ExpansionError",
-        "ExpansionProblem",
-        "ExpansionReport",
-        "InconsistentSystemError",
-        "build_J",
-        "build_primed_generators",
-        "centralizer_split",
-        "derive_constraints",
-        "make_problem",
-        "run_atlas",
-        "run_expansion",
-        "split_casimirs",
-        "verify_expansion",
-        "verify_with_values",
-    ),
-}
-_ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
+_LAZY = ("groebner", "uea", "expand")
 
 
 def _register_lazily(module: str) -> None:
@@ -92,22 +58,25 @@ for _module in _LAZY:
     _register_lazily(_module)
 del _module
 
-# the public names bound above, modules aside, then the lazy ones
-__all__ = [
+# the public names bound above, modules aside
+_EAGER = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, type(sys))
-] + sorted(_ORIGIN)
+]
 
 
 def __getattr__(name: str):
     # Not cached in this namespace: a name first read while a module's
     # function is wrapped (the benchmark's span tracer) would keep the
     # wrapper after it is restored.
-    module = _ORIGIN.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[module], name)
+    if name == "__all__":
+        return _EAGER + [n for m in _LAZY for n in globals()[m].__all__]
+    if not name.startswith("_"):
+        for module in _LAZY:
+            if name in globals()[module].__all__:
+                return getattr(globals()[module], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_ORIGIN))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -54,8 +54,6 @@ __all__ = [
     "ExpansionError",
     "InconsistentSystemError",
     "ExpansionProblem",
-    "CasimirSplit",
-    "HypothesisReport",
     "ExpansionReport",
     "make_problem",
     "split_casimirs",
@@ -68,7 +66,6 @@ __all__ = [
     "run_atlas",
     "verify_with_values",
     "ATLAS",
-    "UNKNOWNS",
 ]
 
 UNKNOWNS = ("a1", "a2")

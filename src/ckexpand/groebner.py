@@ -219,14 +219,13 @@ class RelationIdeal(NamedTuple):
 def groebner_basis(gens, unknowns) -> RelationIdeal:
     """Reduced Groebner basis under the frozen graded-lex order.
 
-    Buchberger's algorithm with the product and chain criteria.  Each
-    input generator is first reduced against the basis built so far and
-    dropped when it reduces to zero, so a generator that lies in the ideal
-    of the earlier ones forms no S-pair.  The pending pair with the
-    smallest lcm of leading monomials goes first (ties by index), a pair
-    with coprime leading monomials is skipped, and so is a pair whose lcm
-    a third leading monomial divides when that element's pairs with both
-    are already treated.  ``generators`` keeps every nonzero input.
+    Buchberger's algorithm with the product criterion.  Each input
+    generator is first reduced against the basis built so far and dropped
+    when it reduces to zero, so a generator that lies in the ideal of the
+    earlier ones forms no S-pair.  The pending pair with the smallest lcm
+    of leading monomials goes first (ties by index), and a pair with
+    coprime leading monomials is skipped.  ``generators`` keeps every
+    nonzero input.
     """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
@@ -237,7 +236,6 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     polys = [p for p in polys if not p.is_zero]
     basis = []
     leads = []
-    pending = set()
     heap = []
 
     def add(p):
@@ -247,7 +245,6 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         for i in range(j):
             lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
             heapq.heappush(heap, (grlex_key(lcm), i, j))
-            pending.add((i, j))
 
     for p in polys:
         # p and its remainder generate the same ideal together with the
@@ -257,18 +254,9 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         if not p.is_zero:
             add(p)
     while heap:
-        (_, lcm), i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+        _, i, j = heapq.heappop(heap)
         if all(not (a and b) for a, b in zip(leads[i], leads[j])):
             continue  # product criterion
-        if any(
-            k != i and k != j
-            and _divides(lead, lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, lead in enumerate(leads)
-        ):
-            continue  # chain criterion
         s = _reduce(_spoly(basis[i], basis[j]), basis)
         if not s.is_zero:
             add(s)
@@ -293,10 +281,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
 
 def reduce_mod_ideal(p, ideal: RelationIdeal) -> ParamPoly:
     """Normal form of p against the ideal's Groebner basis."""
-    q = ParamPoly.coerce(p, ideal.unknowns)
-    if not ideal.groebner:
-        return q
-    return _reduce(q, ideal.groebner)
+    return _reduce(ParamPoly.coerce(p, ideal.unknowns), ideal.groebner)
 
 
 def ideal_equals(a: RelationIdeal, b: RelationIdeal) -> bool:

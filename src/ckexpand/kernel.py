@@ -42,10 +42,6 @@ def mono_mul(a, b):
 
 
 def terms_add(ta, tb):
-    if not ta:
-        return dict(tb)
-    if not tb:
-        return dict(ta)
     out = dict(ta)
     for mono, coeff in tb.items():
         acc = out.get(mono)
@@ -81,8 +77,6 @@ def terms_scale(ta, q):
 
 
 def terms_mul(ta, tb):
-    if not ta or not tb:
-        return {}
     if len(ta) > len(tb):
         ta, tb = tb, ta
     out = {}

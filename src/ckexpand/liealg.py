@@ -233,40 +233,34 @@ def _linear_combo(value: Scalar, labels) -> dict:
     return {label: combo[label] for label in labels if label in combo}
 
 
-class _Builder:
-    def __init__(self, generators):
-        self.generators = tuple(generators)
-        self.index = {g: i for i, g in enumerate(self.generators)}
-        self.table: dict = {}
-
-    def set(self, x: str, y: str, combo: dict):
-        i, j = self.index[x], self.index[y]
-        entry = {self.index[n]: as_scalar(c) for n, c in combo.items()}
-        if i > j:
-            i, j = j, i
-            entry = {n: -c for n, c in entry.items()}
-        self.table[(i, j)] = entry
-
-
 def _family_table(w1, w2, m=0) -> dict:
     """The family's bracket table in the global order; m*Xi extends [P_i,K_i].
 
     Entries may carry zero coefficients, which ``LieAlgebra`` drops.
     """
-    b = _Builder(GLOBAL_ORDER)
-    b.set("J", "P1", {"P2": 1})
-    b.set("J", "P2", {"P1": -1})
-    b.set("J", "K1", {"K2": 1})
-    b.set("J", "K2", {"K1": -1})
-    b.set("P1", "P2", {"J": w1 * w2})
-    b.set("K1", "K2", {"J": w2})
-    b.set("P1", "K1", {"H": w2, "Xi": m})
-    b.set("P2", "K2", {"H": w2, "Xi": m})
-    b.set("H", "P1", {"K1": w1})
-    b.set("H", "P2", {"K2": w1})
-    b.set("H", "K1", {"P1": -1})
-    b.set("H", "K2", {"P2": -1})
-    return b.table
+    index = {g: i for i, g in enumerate(GLOBAL_ORDER)}
+    table = {}
+    for x, y, combo in (
+        ("J", "P1", {"P2": 1}),
+        ("J", "P2", {"P1": -1}),
+        ("J", "K1", {"K2": 1}),
+        ("J", "K2", {"K1": -1}),
+        ("P1", "P2", {"J": w1 * w2}),
+        ("K1", "K2", {"J": w2}),
+        ("P1", "K1", {"H": w2, "Xi": m}),
+        ("P2", "K2", {"H": w2, "Xi": m}),
+        ("H", "P1", {"K1": w1}),
+        ("H", "P2", {"K2": w1}),
+        ("H", "K1", {"P1": -1}),
+        ("H", "K2", {"P2": -1}),
+    ):
+        i, j = index[x], index[y]
+        entry = {index[n]: as_scalar(c) for n, c in combo.items()}
+        if i > j:
+            i, j = j, i
+            entry = {n: -c for n, c in entry.items()}
+        table[(i, j)] = entry
+    return table
 
 
 def make_ck_algebra(w1, w2, name=None) -> LieAlgebra:

@@ -179,10 +179,6 @@ class Poly:
         """Positive rational content (gcd of all coefficients)."""
         return rational_content(self.terms.values())
 
-    def mono_content(self):
-        """Largest monomial dividing every term."""
-        return monomial_content(self.terms)
-
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if len(self.terms) == 1:
@@ -303,8 +299,6 @@ ONE = Poly.const(1)
 
 
 def _mono_div(mono, content):
-    if not content:
-        return mono
     cut = dict(content)
     out = []
     for s, e in mono:

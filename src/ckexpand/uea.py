@@ -21,7 +21,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, UnsupportedAlgebraError, identify
+from .liealg import LieAlgebra, identify
 from .poly import (
     Scalar, TermSum, add_term, as_scalar, grlex_key, parse_scalar,
     split_symbols,
@@ -32,7 +32,6 @@ __all__ = [
     "CentralRelation",
     "CentralReducer",
     "MixedAlgebraError",
-    "UnsupportedAlgebraError",
     "pbw_normalize",
     "uea_mul",
     "uea_commutator",
@@ -55,10 +54,6 @@ class UEAElement(TermSum):
     def __init__(self, algebra: LieAlgebra, terms=None):
         self.algebra = algebra
         self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls, algebra) -> "UEAElement":
-        return cls(algebra)
 
     @classmethod
     def one(cls, algebra) -> "UEAElement":
@@ -104,9 +99,6 @@ class UEAElement(TermSum):
 
     __rmul__ = TermSum.scale
 
-    def commutator(self, other) -> "UEAElement":
-        return uea_commutator(self, other)
-
     def substitute(self, mapping) -> "UEAElement":
         terms = {}
         for exps, coeff in self.terms.items():
@@ -135,8 +127,6 @@ def _rewrite(algebra: LieAlgebra, stack, result) -> None:
     table = algebra.table
     while stack:
         w, c = stack.pop()
-        if c.is_zero:
-            continue
         pos = -1
         for p in range(len(w) - 1):
             if w[p] > w[p + 1]:
@@ -421,8 +411,6 @@ class CentralReducer:
         entries: dict = {}
         for z, (label, v, powers, scaled) in self._subs.items():
             top = max((exps[z] for exps in terms), default=0)
-            if not top:
-                continue
             while len(powers) <= top:
                 powers.append(powers[-1] * v)
                 scaled.append(scaled[-1] * v)

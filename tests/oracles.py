@@ -13,7 +13,9 @@ from ckexpand.cli import (
     cmd_verify,
 )
 from ckexpand.liealg import BUILTIN_NAMES
-from ckexpand.poly import ONE, Poly, Scalar, _constant, _mono_div, exact_div
+from ckexpand.poly import (
+    ONE, Poly, Scalar, _constant, _mono_div, exact_div, monomial_content,
+)
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
 
@@ -144,9 +146,9 @@ def oracle_scalar(num, den=ONE):
     exactly divides the other, then rational content and sign."""
     if num.is_zero or den.is_one:
         return Scalar(num)
-    nc = dict(num.mono_content())
+    nc = dict(monomial_content(num.terms))
     common = tuple(sorted(
-        (s, min(e, nc[s])) for s, e in den.mono_content() if s in nc
+        (s, min(e, nc[s])) for s, e in monomial_content(den.terms) if s in nc
     ))
     num = Poly({_mono_div(m, common): c for m, c in num.terms.items()})
     den = Poly({_mono_div(m, common): c for m, c in den.terms.items()})

@@ -373,17 +373,22 @@ def test_a_directory_named_like_a_builtin_does_not_shadow_it(capsys, tmp_path):
 
 # what a fresh process has run of the lazily registered modules, read from
 # each module's __dict__ without the attribute access that would load it
-EXECUTED_PROBE = """
+EXECUTED = """
 import json, sys
+
+def executed():
+    defines = {"groebner": "groebner_basis", "uea": "uea_mul",
+               "expand": "run_expansion"}
+    return [name for name, attr in defines.items()
+            if attr in object.__getattribute__(
+                sys.modules["ckexpand." + name], "__dict__")]
+"""
+EXECUTED_PROBE = EXECUTED + """
 import ckexpand.cli
 code = ckexpand.cli.main(sys.argv[1:])
-defines = {"groebner": "groebner_basis", "uea": "uea_mul",
-           "expand": "run_expansion"}
 print(json.dumps({
     "code": code,
-    "executed": [name for name, attr in defines.items()
-                 if attr in object.__getattribute__(
-                     sys.modules["ckexpand." + name], "__dict__")],
+    "executed": executed(),
     "loaded": sorted(set(sys.modules) & {"dataclasses", "inspect", "argparse",
                                          "gettext", "locale"}),
 }))
@@ -405,6 +410,40 @@ def test_cold_command_runs_only_the_modules_it_needs(argv, executed):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "executed": executed, "loaded": []}
+
+
+# each step's answer and the lazy modules run after it, in one process
+LOOKUP_PROBE = EXECUTED + """
+import ckexpand
+package = object.__getattribute__(ckexpand, "__dict__")
+eager = [name for name, value in package.items()
+         if not name.startswith("_") and not isinstance(value, type(sys))]
+steps = [["__wrapped__", hasattr(ckexpand, "__wrapped__"), executed()],
+         ["_Span", hasattr(ckexpand, "_Span"), executed()]]
+value = ckexpand.ParamPoly
+ran = executed()
+steps.append(["ParamPoly",
+              value is sys.modules["ckexpand.groebner"].ParamPoly, ran])
+names = ckexpand.__all__
+ran = executed()
+modules = [sys.modules["ckexpand." + m].__all__
+           for m in ("groebner", "uea", "expand")]
+steps.append(["__all__", names == eager + sum(modules, []), ran])
+print(json.dumps(steps))
+"""
+
+
+def test_cold_package_lookup_runs_only_the_module_it_searches():
+    # underscore names are never searched; a groebner name stops at the
+    # first module; __all__ reads every lazy module's own list
+    proc = run_cold("-c", LOOKUP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["__wrapped__", False, []],
+        ["_Span", False, []],
+        ["ParamPoly", True, ["groebner"]],
+        ["__all__", True, ["groebner", "uea", "expand"]],
+    ]
 
 
 @pytest.mark.parametrize("argv", [
