@@ -15,9 +15,12 @@ exports the names above and each lazy module's ``__all__``, so reading
 in ``groebner``, ``uea`` and ``expand``, in that order, loading each module
 it searches: a ``uea`` name read through the package also compiles
 ``groebner``, and a public name the package does not export compiles all
-three.  No ``ck`` verb reads a name that way.
+three.  No ``ck`` verb reads a name that way.  The name of a submodule
+not yet imported is answered at once, so ``from ckexpand import cli``
+loads ``cli`` alone.
 """
 
+import functools
 import importlib.util
 import sys
 
@@ -71,11 +74,20 @@ def __getattr__(name: str):
     # wrapper after it is restored.
     if name == "__all__":
         return _EAGER + [n for m in _LAZY for n in globals()[m].__all__]
-    if not name.startswith("_"):
+    if not name.startswith("_") and not _is_submodule(name):
         for module in _LAZY:
             if name in globals()[module].__all__:
                 return getattr(globals()[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@functools.cache
+def _is_submodule(name: str) -> bool:
+    # the import system asks for a submodule with hasattr before it
+    # imports it: the lazy modules must not run to answer that
+    if not name.isidentifier():
+        return False
+    return importlib.util.find_spec(f"{__name__}.{name}") is not None
 
 
 def __dir__():

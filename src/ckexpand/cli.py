@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import expand, uea
@@ -30,6 +29,7 @@ from .liealg import (
     contract,
     identify,
 )
+from .poly import _coeff
 
 __all__ = ["main"]
 
@@ -169,7 +169,7 @@ def cmd_expand(args) -> int:
     omega = args.omega
     if omega != "sym":
         try:
-            omega = Fraction(omega)
+            omega = _coeff(omega)
         except (ValueError, ZeroDivisionError):
             raise expand.ExpansionError(
                 f"omega must be 'sym' or a rational: {omega!r}"

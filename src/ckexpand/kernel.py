@@ -1,13 +1,14 @@
 """Term arithmetic: the dict-of-monomials operations under ``Poly``.
 
 A multivariate polynomial is a dict mapping monomials to nonzero
-coefficients: ``int`` when integral, else ``fractions.Fraction`` (most
+coefficients: ``int`` when integral, else ``poly.Rational`` (most
 coefficients are integers, and ``int`` arithmetic is much cheaper; the
 two mix exactly).  A monomial is a tuple of
 ``(symbol, exponent)`` pairs, sorted by symbol name, with all exponents
-positive; the empty tuple is the unit monomial.  Every operation here
-returns integral coefficients as ``int``, so a sum like 1/2 + 1/2 does
-not leave a ``Fraction`` on later products.
+positive; the empty tuple is the unit monomial.  ``Rational`` returns an
+``int`` from every operation whose result is integral, so a sum like
+1/2 + 1/2 is an ``int`` with no pass here; ``fractions.Fraction`` would
+keep it a ``Fraction`` and needs such a pass after every operation.
 """
 
 # recorded by the benchmark as ckexpand.KERNEL_IMPLEMENTATION
@@ -49,21 +50,11 @@ def terms_add(ta, tb):
             out[mono] = coeff
         else:
             acc = acc + coeff
-            if not acc:
-                del out[mono]
-            elif type(acc) is int or acc.denominator != 1:
+            if acc:
                 out[mono] = acc
             else:
-                out[mono] = acc.numerator
+                del out[mono]
     return out
-
-
-def _integral(terms):
-    """terms with every integral Fraction made an int, in place."""
-    for mono, coeff in terms.items():
-        if type(coeff) is not int and coeff.denominator == 1:
-            terms[mono] = coeff.numerator
-    return terms
 
 
 def terms_neg(ta):
@@ -73,7 +64,7 @@ def terms_neg(ta):
 def terms_scale(ta, q):
     if not q:
         return {}
-    return _integral({mono: coeff * q for mono, coeff in ta.items()})
+    return {mono: coeff * q for mono, coeff in ta.items()}
 
 
 def terms_mul(ta, tb):
@@ -93,4 +84,4 @@ def terms_mul(ta, tb):
                     out[mono] = acc
                 else:
                     del out[mono]
-    return _integral(out)
+    return out

@@ -5,11 +5,13 @@ of such polynomials.  These are the coefficient domain for everything
 else: bracket tables, enveloping-algebra elements and constraint ideals.
 
 Monomials are sparse tuples of ``(symbol, exponent)`` pairs sorted by
-symbol; coefficients are ``int`` when integral, else
-``fractions.Fraction``.  Almost every coefficient the engine meets is an
-integer, and ``int`` arithmetic is many times cheaper than ``Fraction``
-arithmetic; ``Fraction(2) == 2`` and the two hash equally, so either form
-of an integral value compares and prints the same.  Floats are refused.
+symbol; coefficients are ``int`` when integral, else ``Rational``, a
+slotted p/q whose every operation gives an ``int`` when integral.  Almost
+every coefficient the engine meets is an integer, and ``int`` arithmetic
+is many times cheaper than any fraction's.  ``fractions.Fraction`` is not
+used: its arithmetic goes through the ``numbers`` ABCs and properties at
+three to five times the cost, and importing it loads ``decimal`` on every
+cold start; ``_coeff`` converts one passed in.  Floats are refused.
 Polynomial values are immutable after construction and canonical, so
 equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content
@@ -53,15 +55,17 @@ polynomials.
 
 from __future__ import annotations
 
-import math
 import re
-from fractions import Fraction
+import sys
+from functools import total_ordering
+from math import gcd, lcm
 from operator import add, gt, sub
 
 from .kernel import terms_add, terms_mul, terms_neg, terms_scale
 
 __all__ = [
     "Poly",
+    "Rational",
     "SYMBOL",
     "Scalar",
     "ScalarDivisionError",
@@ -97,17 +101,131 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _coeff(q):
-    """q as an exact coefficient: an int when integral, else a Fraction."""
-    if type(q) is int:
+@total_ordering
+class Rational:
+    """p/q in lowest terms with q > 1: a coefficient that is not an int.
+
+    The constructor takes such a pair as it is; ``_ratio`` reduces any
+    pair.  +, - and * take an int, a Rational or a Fraction on either
+    side and give an int when the result is integral; the engine divides
+    with ``_quotient``.  A Rational is never zero.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __add__(self, other):
+        try:
+            m, e = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        n, d = self.numerator, self.denominator
+        g = gcd(d, e)
+        if g == 1:  # then n*e + m*d is prime to d*e
+            return Rational(n * e + m * d, d * e)
+        return _ratio(n * (e // g) + m * (d // g), d // g * e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        try:
+            m, e = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        n, d = self.numerator, self.denominator
+        g1, g2 = gcd(n, e), gcd(m, d)
+        n, d = (n // g1) * (m // g2), (d // g2) * (e // g1)
+        return n if d == 1 else Rational(n, d)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return Rational(abs(self.numerator), self.denominator)
+
+    def __eq__(self, other):
+        try:
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    def __lt__(self, other):
+        try:
+            return (self.numerator * other.denominator
+                    < other.numerator * self.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self):
+        # the equal Fraction's: |p|/q modulo the hash modulus, signed as p
+        modulus = sys.hash_info.modulus
+        try:
+            h = hash(abs(self.numerator) * pow(self.denominator, -1, modulus))
+        except ValueError:  # q is a multiple of the modulus
+            h = sys.hash_info.inf
+        h = h if self.numerator > 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(self):
+        return f"{self.numerator}/{self.denominator}"
+
+    def __repr__(self):
+        return f"Rational({self.numerator}, {self.denominator})"
+
+
+def _ratio(n: int, d: int):
+    """n/d: an int when d divides n, else a Rational."""
+    if not d:
+        raise ZeroDivisionError(f"division of {n} by zero")
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g if d == g else Rational(n // g, d // g)
+
+
+def _quotient(a, b):
+    """a/b for ints, Rationals or Fractions a and b."""
+    return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
+
+
+def _exact(q):
+    """q as an int or Rational when it has int ``numerator`` and
+    ``denominator``, as a Fraction has; else None."""
+    if type(q) is int or type(q) is Rational:
         return q
-    if type(q) is not Fraction:
-        if isinstance(q, float):
-            raise TypeError(
-                f"inexact coefficient {q!r}: use an int or a Fraction"
-            )
-        q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
+    n, d = getattr(q, "numerator", None), getattr(q, "denominator", None)
+    return _ratio(n, d) if type(n) is int and type(d) is int else None
+
+
+def _coeff(q):
+    """q as an exact coefficient: an int when integral, else a Rational.
+
+    Text n or n/d is read here, any other text and ``Decimal`` as
+    ``fractions.Fraction`` reads them, imported only for them.  Floats
+    are refused.
+    """
+    exact = _exact(q)
+    if exact is not None:
+        return exact
+    if isinstance(q, float):
+        raise TypeError(f"inexact coefficient {q!r}: use an int or a Fraction")
+    if isinstance(q, str):
+        num, slash, den = q.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdecimal() and (den.isdecimal() or not slash):
+            return _ratio(int(num), int(den or 1))
+    from fractions import Fraction
+
+    return _exact(Fraction(q))
 
 
 def rational_content(coeffs):
@@ -116,9 +234,9 @@ def rational_content(coeffs):
     num = 0
     den = 1
     for coeff in coeffs:
-        num = math.gcd(num, coeff.numerator)
-        den = math.lcm(den, coeff.denominator)
-    return _coeff(Fraction(num, den)) if num else 1
+        num = gcd(num, coeff.numerator)
+        den = lcm(den, coeff.denominator)
+    return _ratio(num, den) if num else 1
 
 
 def monomial_content(monos):
@@ -145,7 +263,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms is assumed canonical: no zero coefficients, int or Fraction
+        # terms is assumed canonical: no zero coefficients, int or Rational
         # values (see _coeff)
         self.terms = terms if terms is not None else {}
 
@@ -192,9 +310,8 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return NotImplemented
+        q = _exact(other)
+        return NotImplemented if q is None else Poly.const(q)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -213,13 +330,13 @@ class Poly:
             return NotImplemented
         return Poly(terms_add(self.terms, terms_neg(other.terms)))
 
-    # Poly is tested first: isinstance against Fraction, an ABC, is slow
     def __mul__(self, other):
         if isinstance(other, Poly):
             return Poly(terms_mul(self.terms, other.terms))
-        if isinstance(other, (int, Fraction)):
-            return Poly(terms_scale(self.terms, _coeff(other)))
-        return NotImplemented
+        q = _exact(other)
+        if q is None:
+            return NotImplemented
+        return Poly(terms_scale(self.terms, q))
 
     __rmul__ = __mul__
 
@@ -241,15 +358,16 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == Poly.const(other).terms
-        return NotImplemented
+        q = _exact(other)
+        if q is None:
+            return NotImplemented
+        return self.terms == Poly.const(q).terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping) -> "Scalar":
-        """Replace symbols by values (Scalar/Poly/Fraction/int)."""
+        """Replace symbols by values (Scalar/Poly/Rational/Fraction/int)."""
         total = Scalar.zero()
         for mono, coeff in self.terms.items():
             piece = Scalar.const(coeff)
@@ -327,7 +445,7 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
         if exact and type(c) is int and not c % bc:
             qc = c // bc
         else:
-            qc = _coeff(Fraction(c) / bc)
+            qc = _quotient(c, bc)
         quot[tuple([(s, e) for s, e in zip(frame, qkey[1:]) if e])] = qc
         for tkey, tc in tail:
             k = tuple(map(add, tkey, qkey))
@@ -450,18 +568,17 @@ def _over(num: Poly, den: Poly) -> "Scalar":
 
 
 def _constant(q) -> "Scalar":
-    """The Scalar of the int or Fraction q."""
-    if type(q) is not int:
-        q = _coeff(q)
+    """The Scalar of the int or Rational q."""
     return _build(Poly({(): q}) if q else ZERO, ONE, q)
 
 
 class Scalar:
     """A fraction of two polynomials; the universal coefficient domain.
 
-    ``value`` is the rational value (int or Fraction) of a constant, else
-    None, so constant arithmetic never reaches the polynomials.  ``den``
-    is the shared ``ONE`` exactly when the value is a polynomial.
+    ``value`` is the rational value of a constant, an int when integral
+    and else a Rational, and None for any other Scalar, so constant
+    arithmetic never reaches the polynomials.  ``den`` is the shared
+    ``ONE`` exactly when the value is a polynomial.
     """
 
     __slots__ = ("num", "den", "value")
@@ -483,8 +600,9 @@ class Scalar:
             if den.leading()[1] < 0:
                 c = -c
             if c != 1:
-                num = num.scale(Fraction(1) / c)
-                den = den.scale(Fraction(1) / c)
+                c = _quotient(1, c)
+                num = num.scale(c)
+                den = den.scale(c)
         self.num = num
         self.den = ONE if den.is_one else den
         self.value = _value(num.terms) if den.is_one else None
@@ -499,7 +617,7 @@ class Scalar:
 
     @classmethod
     def const(cls, value) -> "Scalar":
-        return _constant(value)
+        return _constant(_coeff(value))
 
     @classmethod
     def symbol(cls, name: str) -> "Scalar":
@@ -609,8 +727,7 @@ class Scalar:
         if self.is_zero:
             raise ScalarDivisionError("division by zero")
         if self.value is not None:
-            q = self.value
-            return _constant(Fraction(q.denominator, q.numerator))
+            return _constant(_quotient(1, self.value))
         out = Scalar.__new__(Scalar)
         out._settle(self.den, self.num)
         return out
@@ -767,13 +884,13 @@ def split_symbols(value: Scalar, symbols) -> dict:
 
 
 def as_scalar(value):
-    """Coerce ints, Fractions, Polys or symbol strings to Scalar; raise a
-    TypeError that names any other value."""
+    """Coerce ints, Rationals, Fractions, Polys or symbol strings to
+    Scalar; raise a TypeError that names any other value."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, Poly):
         return Scalar(value)
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, float) or _exact(value) is not None:
         return Scalar.const(value)  # a float is refused as inexact
     if isinstance(value, str):
         return parse_scalar(value)

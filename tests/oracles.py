@@ -14,7 +14,8 @@ from ckexpand.cli import (
 )
 from ckexpand.liealg import BUILTIN_NAMES
 from ckexpand.poly import (
-    ONE, Poly, Scalar, _constant, _mono_div, exact_div, monomial_content,
+    ONE, Poly, Scalar, _coeff, _constant, _mono_div, exact_div,
+    monomial_content,
 )
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
@@ -194,7 +195,8 @@ def oracle_mul(x, y):
 
 def oracle_inverse(x):
     if x.value is not None:
-        return _constant(Fraction(x.value.denominator, x.value.numerator))
+        q = Fraction(x.value.denominator, x.value.numerator)
+        return _constant(_coeff(q))
     return _settled(x.den, x.num)
 
 

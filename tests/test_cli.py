@@ -113,6 +113,21 @@ def test_expand_numeric_omega(capsys):
     assert data["constraints"]["raw"] == ["4*c1*a1^2 + 1"]
 
 
+def test_expand_rational_omega_in_any_spelling(capsys):
+    # n/d is read directly; 0.5 and 2/4 name the same rational, as they
+    # did when every value went through fractions.Fraction
+    runs = [
+        run(capsys, "expand", "poincare", "--axis", "1", "--omega", omega,
+            "--json")
+        for omega in ("1/2", "0.5", "2/4")
+    ]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    code, out, _ = runs[0]
+    data = json.loads(out)
+    assert (code, data["omega_value"], data["target"]) == (0, "1/2", "so(2,2)")
+    assert data["arrow"] == "poincare->w1=1/2"
+
+
 def test_expand_failure_exit_codes(capsys):
     # the unextended w1 attempt fails unless marked as expected
     code, out, _ = run(capsys, "expand", "galilei", "--axis", "1")
@@ -390,7 +405,8 @@ print(json.dumps({
     "code": code,
     "executed": executed(),
     "loaded": sorted(set(sys.modules) & {"dataclasses", "inspect", "argparse",
-                                         "gettext", "locale"}),
+                                         "gettext", "locale", "fractions",
+                                         "decimal", "numbers"}),
 }))
 """
 
@@ -401,11 +417,14 @@ print(json.dumps({
     ("verify ext-galilei --json", ["uea"]),
     ("expand nh-plus --axis 2 --omega 1 --json",
      ["groebner", "uea", "expand"]),
-], ids=["algebra", "contract", "verify", "expand"])
+    ("expand nh-plus --axis 2 --omega 1/2 --json",
+     ["groebner", "uea", "expand"]),
+], ids=["algebra", "contract", "verify", "expand", "expand-ratio"])
 def test_cold_command_runs_only_the_modules_it_needs(argv, executed):
     # dataclasses pulls in inspect, ast, dis and tokenize, and every
     # @dataclass compiles its methods with exec on each cold start;
-    # argparse pulls in gettext, and its first parse locale
+    # argparse pulls in gettext, and its first parse locale; fractions
+    # pulls in decimal and numbers
     proc = run_cold("-c", EXECUTED_PROBE, *argv.split())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -420,6 +439,8 @@ eager = [name for name, value in package.items()
          if not name.startswith("_") and not isinstance(value, type(sys))]
 steps = [["__wrapped__", hasattr(ckexpand, "__wrapped__"), executed()],
          ["_Span", hasattr(ckexpand, "_Span"), executed()]]
+from ckexpand import cli
+steps.append(["cli", cli is sys.modules["ckexpand.cli"], executed()])
 value = ckexpand.ParamPoly
 ran = executed()
 steps.append(["ParamPoly",
@@ -434,13 +455,16 @@ print(json.dumps(steps))
 
 
 def test_cold_package_lookup_runs_only_the_module_it_searches():
-    # underscore names are never searched; a groebner name stops at the
-    # first module; __all__ reads every lazy module's own list
+    # underscore names are never searched; a submodule's name is not
+    # searched either, so importing it runs only what it imports; a
+    # groebner name stops at the first module; __all__ reads every lazy
+    # module's own list
     proc = run_cold("-c", LOOKUP_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["__wrapped__", False, []],
         ["_Span", False, []],
+        ["cli", True, []],
         ["ParamPoly", True, ["groebner"]],
         ["__all__", True, ["groebner", "uea", "expand"]],
     ]

@@ -1,7 +1,7 @@
 """The expansion engine: splits, primed generators, constraints, atlas."""
 
 import json
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -36,7 +36,7 @@ from ckexpand.liealg import (
     identify,
     make_ck_algebra,
 )
-from ckexpand.poly import parse_scalar
+from ckexpand.poly import Rational, parse_scalar
 from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
 
 from oracles import (
@@ -731,8 +731,9 @@ def test_every_atlas_witness_rebuilds_its_bracket(atlas_by_bound):
 
 def test_every_atlas_coefficient_is_an_int_or_a_fraction(atlas_by_bound):
     # no float and no bool ever reaches a coefficient, an integral value is
-    # an int, never a Fraction with denominator 1, and no term dict holds a
-    # zero Scalar
+    # an int, any other value a Rational in lowest terms with denominator
+    # above 1 (never a fractions.Fraction), and no term dict holds a zero
+    # Scalar
     def scalars(report):
         elements = [report.J, *(report.primed or {}).values()]
         elements += [r for r in (report.remainders or {}).values() if r]
@@ -755,7 +756,8 @@ def test_every_atlas_coefficient_is_an_int_or_a_fraction(atlas_by_bound):
                 assert not s.is_zero
                 for coeff in (*s.num.terms.values(), *s.den.terms.values()):
                     assert type(coeff) is int or (
-                        type(coeff) is Fraction and coeff.denominator != 1
+                        type(coeff) is Rational and coeff.denominator > 1
+                        and gcd(coeff.numerator, coeff.denominator) == 1
                     )
                     checked += 1
     assert checked > 0

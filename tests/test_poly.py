@@ -24,6 +24,7 @@ from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
     ONE,
     Poly,
+    Rational,
     Scalar,
     ScalarDivisionError,
     _either_div,
@@ -312,7 +313,8 @@ def test_inverse_swaps_the_pair_without_dividing(s):
 # earlier rules (tests/oracles.py) gave it, not just an equal value.
 
 X, Y, Z = (Poly.symbol(s) for s in SYMBOLS)
-PLANT_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+# engine coefficients, so that a planted sum like 1/2 + 1/2 is an int
+PLANT_COEFFS = (1, -1, 2, -3, Rational(1, 2), Rational(-2, 3))
 # factors that operands share, so that denominators divide each other
 FACTORS = (
     X + 1, Y - 2, X * Y + Z, 2 * X - 3 * Z, X * X + Y, Z - Fraction(1, 2)
@@ -570,7 +572,8 @@ def test_polynomial_scalars_stay_polynomial(a, b):
 def test_exact_division_quotient_is_a_fraction_not_a_float():
     quotient = exact_div(Poly.const(1), Poly.const(2))
     assert quotient.terms == {(): Fraction(1, 2)}
-    assert type(quotient.terms[()]) is Fraction
+    assert type(quotient.terms[()]) is Rational
+    assert type(exact_div(Poly.const(2), Poly.const(2)).terms[()]) is int
 
 
 def test_integral_numbers_enter_a_poly_as_ints():
