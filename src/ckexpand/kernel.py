@@ -3,12 +3,13 @@
 A multivariate polynomial is a dict mapping monomials to nonzero
 coefficients: ``int`` when integral, else ``poly.Rational`` (most
 coefficients are integers, and ``int`` arithmetic is much cheaper; the
-two mix exactly).  A monomial is a tuple of
-``(symbol, exponent)`` pairs, sorted by symbol name, with all exponents
-positive; the empty tuple is the unit monomial.  ``Rational`` returns an
-``int`` from every operation whose result is integral, so a sum like
-1/2 + 1/2 is an ``int`` with no pass here; ``fractions.Fraction`` would
-keep it a ``Fraction`` and needs such a pass after every operation.
+two mix exactly).  A monomial is a tuple of ``(symbol, exponent)`` pairs,
+sorted by symbol name, with all exponents positive; the empty tuple is
+the unit monomial.  ``Rational`` returns an ``int`` from every operation
+whose result is integral, so a sum like 1/2 + 1/2 is an ``int`` with no
+pass here.  A ``fractions.Fraction`` would stay a ``Fraction`` and need
+such a pass after every operation, so none reaches these functions:
+``poly._coeff`` converts one at the boundary.
 """
 
 # recorded by the benchmark as ckexpand.KERNEL_IMPLEMENTATION

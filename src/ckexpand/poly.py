@@ -8,12 +8,14 @@ Monomials are sparse tuples of ``(symbol, exponent)`` pairs sorted by
 symbol; coefficients are ``int`` when integral, else ``Rational``, a
 slotted p/q whose every operation gives an ``int`` when integral.  Almost
 every coefficient the engine meets is an integer, and ``int`` arithmetic
-is many times cheaper than any fraction's.  ``fractions.Fraction`` is not
-used: its arithmetic goes through the ``numbers`` ABCs and properties at
-three to five times the cost, and importing it loads ``decimal`` on every
-cold start; ``_coeff`` converts one passed in.  Floats are refused.
-Polynomial values are immutable after construction and canonical, so
-equality is structural.
+is many times cheaper than any fraction's.  A number from outside becomes
+a coefficient in ``_coeff`` alone, behind ``Poly.const``, ``Poly.scale``,
+``Scalar.const`` and ``as_scalar``; floats are refused there.  Past it no
+code makes or compares a ``fractions.Fraction``: its arithmetic goes
+through the ``numbers`` ABCs and properties at three to five times the
+cost, and importing it loads ``decimal`` on every cold start.  ``Poly``'s
++, - and * take only Polys.  Polynomial values are immutable after
+construction and canonical, so equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content
 (``monomial_content`` and ``rational_content``, the one content rule),
 with full cancellation applied only when one side exactly divides the
@@ -56,7 +58,6 @@ polynomials.
 from __future__ import annotations
 
 import re
-import sys
 from functools import total_ordering
 from math import gcd, lcm
 from operator import add, gt, sub
@@ -106,9 +107,11 @@ class Rational:
     """p/q in lowest terms with q > 1: a coefficient that is not an int.
 
     The constructor takes such a pair as it is; ``_ratio`` reduces any
-    pair.  +, - and * take an int, a Rational or a Fraction on either
-    side and give an int when the result is integral; the engine divides
-    with ``_quotient``.  A Rational is never zero.
+    pair.  +, - and * take an int or a Rational on either side and give
+    an int when the result is integral; the engine divides with
+    ``_quotient``.  A Rational is never zero, equals only an equal
+    Rational (it is never integral, so never an int) and is ordered
+    against ints and Rationals.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -154,28 +157,21 @@ class Rational:
         return Rational(abs(self.numerator), self.denominator)
 
     def __eq__(self, other):
-        try:
-            return (self.numerator == other.numerator
-                    and self.denominator == other.denominator)
-        except AttributeError:
-            return NotImplemented
+        if type(other) is not Rational:
+            return NotImplemented  # never integral, so never an int
+        return (self.numerator == other.numerator
+                and self.denominator == other.denominator)
 
     def __lt__(self, other):
-        try:
-            return (self.numerator * other.denominator
-                    < other.numerator * self.denominator)
-        except AttributeError:
+        # an int or a Rational only, as for ==: ordering against a
+        # Fraction that == refuses would make <= disagree with < or ==
+        if not isinstance(other, (int, Rational)):
             return NotImplemented
+        return (self.numerator * other.denominator
+                < other.numerator * self.denominator)
 
     def __hash__(self):
-        # the equal Fraction's: |p|/q modulo the hash modulus, signed as p
-        modulus = sys.hash_info.modulus
-        try:
-            h = hash(abs(self.numerator) * pow(self.denominator, -1, modulus))
-        except ValueError:  # q is a multiple of the modulus
-            h = sys.hash_info.inf
-        h = h if self.numerator > 0 else -h
-        return -2 if h == -1 else h
+        return hash((self.numerator, self.denominator))
 
     def __str__(self):
         return f"{self.numerator}/{self.denominator}"
@@ -193,29 +189,23 @@ def _ratio(n: int, d: int):
 
 
 def _quotient(a, b):
-    """a/b for ints, Rationals or Fractions a and b."""
+    """a/b for ints or Rationals a and b."""
     return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
-
-
-def _exact(q):
-    """q as an int or Rational when it has int ``numerator`` and
-    ``denominator``, as a Fraction has; else None."""
-    if type(q) is int or type(q) is Rational:
-        return q
-    n, d = getattr(q, "numerator", None), getattr(q, "denominator", None)
-    return _ratio(n, d) if type(n) is int and type(d) is int else None
 
 
 def _coeff(q):
     """q as an exact coefficient: an int when integral, else a Rational.
 
-    Text n or n/d is read here, any other text and ``Decimal`` as
-    ``fractions.Fraction`` reads them, imported only for them.  Floats
-    are refused.
+    An int or a Rational is kept, and anything with int ``numerator`` and
+    ``denominator`` (a bool, a ``fractions.Fraction``) reduced.  Text n or
+    n/d is read here, any other text and ``Decimal`` as ``Fraction`` reads
+    them, imported only for them.  Floats are refused.
     """
-    exact = _exact(q)
-    if exact is not None:
-        return exact
+    if type(q) is int or type(q) is Rational:
+        return q
+    n, d = getattr(q, "numerator", None), getattr(q, "denominator", None)
+    if type(n) is int and type(d) is int:
+        return _ratio(n, d)
     if isinstance(q, float):
         raise TypeError(f"inexact coefficient {q!r}: use an int or a Fraction")
     if isinstance(q, str):
@@ -225,7 +215,8 @@ def _coeff(q):
             return _ratio(int(num), int(den or 1))
     from fractions import Fraction
 
-    return _exact(Fraction(q))
+    q = Fraction(q)
+    return _ratio(q.numerator, q.denominator)
 
 
 def rational_content(coeffs):
@@ -307,38 +298,23 @@ class Poly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        q = _exact(other)
-        return NotImplemented if q is None else Poly.const(q)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return Poly(terms_add(self.terms, other.terms))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Poly(terms_neg(self.terms))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return Poly(terms_add(self.terms, terms_neg(other.terms)))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(terms_mul(self.terms, other.terms))
-        q = _exact(other)
-        if q is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(terms_scale(self.terms, q))
-
-    __rmul__ = __mul__
+        return Poly(terms_mul(self.terms, other.terms))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -356,18 +332,15 @@ class Poly:
         return Poly(terms_scale(self.terms, _coeff(q)))
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        q = _exact(other)
-        if q is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == Poly.const(q).terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping) -> "Scalar":
-        """Replace symbols by values (Scalar/Poly/Rational/Fraction/int)."""
+        """Replace symbols by values, each read by ``as_scalar``."""
         total = Scalar.zero()
         for mono, coeff in self.terms.items():
             piece = Scalar.const(coeff)
@@ -884,16 +857,17 @@ def split_symbols(value: Scalar, symbols) -> dict:
 
 
 def as_scalar(value):
-    """Coerce ints, Rationals, Fractions, Polys or symbol strings to
-    Scalar; raise a TypeError that names any other value."""
+    """Coerce a Scalar, a Poly, an expression string or a number (read by
+    ``_coeff``) to Scalar; refuse any other value, naming it, without
+    importing ``fractions``."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, Poly):
         return Scalar(value)
-    if isinstance(value, float) or _exact(value) is not None:
-        return Scalar.const(value)  # a float is refused as inexact
     if isinstance(value, str):
         return parse_scalar(value)
+    if hasattr(value, "numerator") or hasattr(value, "as_integer_ratio"):
+        return Scalar.const(value)
     raise TypeError(f"cannot use {value!r} as a coefficient")
 
 

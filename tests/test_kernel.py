@@ -8,23 +8,25 @@ from pathlib import Path
 
 import ckexpand
 from ckexpand import kernel
+from ckexpand.poly import _coeff
 
 SPANS = Path(__file__).resolve().parent.parent / "ckbench" / "spans.py"
 
 
-A = {(("x", 1),): Fraction(2), (("y", 2),): Fraction(-1, 3)}
-B = {(): Fraction(1), (("x", 1), ("y", 1)): Fraction(5)}
+# coefficients as the engine holds them: each number read by _coeff
+A = {(("x", 1),): _coeff(Fraction(2)), (("y", 2),): _coeff(Fraction(-1, 3))}
+B = {(): _coeff(Fraction(1)), (("x", 1), ("y", 1)): _coeff(Fraction(5))}
 
 
 def test_pure_python_kernel():
     assert kernel.terms_mul(A, B) == {
-        (("x", 1),): Fraction(2),
-        (("x", 2), ("y", 1)): Fraction(10),
-        (("y", 2),): Fraction(-1, 3),
-        (("x", 1), ("y", 3)): Fraction(-5, 3),
+        (("x", 1),): 2,
+        (("x", 2), ("y", 1)): 10,
+        (("y", 2),): _coeff(Fraction(-1, 3)),
+        (("x", 1), ("y", 3)): _coeff(Fraction(-5, 3)),
     }
     assert kernel.terms_add(A, kernel.terms_neg(A)) == {}
-    assert kernel.terms_scale(B, Fraction(0)) == {}
+    assert kernel.terms_scale(B, _coeff(Fraction(0))) == {}
 
 
 def test_benchmark_names():

@@ -1,7 +1,9 @@
 """Exact polynomial and fraction-field arithmetic."""
 
 import ast
+import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from ckexpand.poly import (
     Rational,
     Scalar,
     ScalarDivisionError,
+    _coeff,
     _either_div,
     add_term,
     as_scalar,
@@ -54,7 +57,7 @@ def naive_mul(a: Poly, b: Poly) -> Poly:
             for sym, e in mb:
                 merged[sym] = merged.get(sym, 0) + e
             key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return Poly({k: v for k, v in out.items() if v})
 
 
@@ -64,15 +67,15 @@ monomials = st.builds(
         st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 3)), max_size=3
     ),
 )
-# plain ints too: the engine mixes int and Fraction coefficients; an
-# integral value is an int, as Poly requires of its terms
+# plain ints too: the engine mixes int and Rational coefficients, and
+# _coeff makes each the one the engine holds, as Poly requires of its terms
 coeffs = (
     st.one_of(
         st.integers(-5, 5),
         st.fractions(min_value=-5, max_value=5, max_denominator=4),
     )
     .filter(lambda q: q != 0)
-    .map(lambda q: q.numerator if q.denominator == 1 else q)
+    .map(_coeff)
 )
 polys = st.builds(
     lambda terms: Poly(dict(terms)),
@@ -196,7 +199,7 @@ def test_constant_arithmetic_never_reaches_the_polynomials():
                    half + half, half - half]
         zero = (half - half).is_zero
     assert [r.value for r in results] == [
-        Fraction(7, 2), Fraction(-5, 2), Fraction(3, 2), 6, 1, 0
+        Rational(7, 2), Rational(-5, 2), Rational(3, 2), 6, 1, 0
     ]
     assert type(results[4].value) is int and results[4].num.terms == {(): 1}
     assert zero and results[5].num.is_zero and results[5].den.is_one
@@ -317,7 +320,8 @@ X, Y, Z = (Poly.symbol(s) for s in SYMBOLS)
 PLANT_COEFFS = (1, -1, 2, -3, Rational(1, 2), Rational(-2, 3))
 # factors that operands share, so that denominators divide each other
 FACTORS = (
-    X + 1, Y - 2, X * Y + Z, 2 * X - 3 * Z, X * X + Y, Z - Fraction(1, 2)
+    X + Poly.const(1), Y - Poly.const(2), X * Y + Z, X.scale(2) - Z.scale(3),
+    X * X + Y, Z - Poly.const(Fraction(1, 2)),
 )
 
 
@@ -485,7 +489,7 @@ def test_every_result_with_denominator_one_holds_the_shared_one(a, b, syms):
         results += [a / b, b.inverse()]
     free = [sym for sym in syms if sym not in a.den.variables()]
     results += split_symbols(a, free).values()
-    factors = (1, -1, 0, 3, Fraction(-2, 3))
+    factors = (1, -1, 0, 3, Rational(-2, 3))
     results += [a * q for q in factors]
     if a.value is None:  # _scaled is only called on a non-constant
         results += [a._scaled(q) for q in factors]
@@ -571,7 +575,7 @@ def test_polynomial_scalars_stay_polynomial(a, b):
 
 def test_exact_division_quotient_is_a_fraction_not_a_float():
     quotient = exact_div(Poly.const(1), Poly.const(2))
-    assert quotient.terms == {(): Fraction(1, 2)}
+    assert quotient.terms == {(): Rational(1, 2)}
     assert type(quotient.terms[()]) is Rational
     assert type(exact_div(Poly.const(2), Poly.const(2)).terms[()]) is int
 
@@ -582,20 +586,57 @@ def test_integral_numbers_enter_a_poly_as_ints():
         x,
         Poly.const(Fraction(6, 3)),
         Poly.const(True),
-        x * Fraction(4, 2),
+        Poly.const("4/2"),
+        x * Poly.const(Fraction(4, 2)),
         x.scale(Fraction(-2, 2)),
-        x.scale(Fraction(1, 2)) * 2,
-        x.scale(Fraction(1, 2)) * Poly.const(Fraction(4, 3)) * 3,
+        x.scale(Decimal("2.0")),
+        x.scale(Fraction(1, 2)).scale(2),
+        x.scale(Fraction(1, 2)) * Poly.const(Fraction(4, 3)).scale(3),
         x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)),
+        Scalar.const(Fraction(6, 3)).num,
+        as_scalar(Decimal("-3")).num,
+        as_scalar(True).num,
     ):
         assert [type(c) for c in p.terms.values()] == [int]
 
 
+# the ways a number from outside becomes a coefficient: each reads it
+# through _coeff
+BOUNDARY = {
+    "Poly.const": lambda q: Poly.const(q).terms[()],
+    "Poly.scale": lambda q: Poly.symbol("x").scale(q).terms[(("x", 1),)],
+    "Scalar.const": lambda q: Scalar.const(q).value,
+    "as_scalar": lambda q: as_scalar(q).value,
+}
+
+
+def test_numbers_enter_only_through_the_boundary():
+    x = Poly.symbol("x")
+    for q in (2, Rational(1, 2), Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, q)
+            with pytest.raises(TypeError):
+                op(q, x)
+        assert x != q and q != x
+    for name, enter in BOUNDARY.items():
+        for q in (Fraction(1, 2), Decimal("0.5"), "1/2"):
+            got = enter(q)
+            assert type(got) is Rational and got == Rational(1, 2), name
+        assert type(enter(True)) is int and enter(True) == 1, name
+
+
 def test_floats_are_refused():
-    with pytest.raises(TypeError, match="0.1"):
-        Poly.const(0.1)
-    with pytest.raises(TypeError, match="0.1"):
-        Poly.symbol("x").scale(0.1)
+    for enter in BOUNDARY.values():
+        with pytest.raises(TypeError, match="0.1"):
+            enter(0.1)
+    half = Scalar.const(Fraction(1, 2))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(half, 0.1)
+        with pytest.raises(TypeError):
+            op(0.1, half)
+    assert half != 0.1 and 0.1 != half
 
 
 @given(polys.filter(lambda p: not p.is_zero))
@@ -744,13 +785,15 @@ def test_zero_denominator_rejected():
         ("0", Scalar.zero()),
         ("2 + 3", as_scalar(5)),
         ("-x^2", Scalar(-Poly.symbol("x") ** 2)),
-        ("1/2 * x", Scalar(Poly({((("x"), 1),): Fraction(1, 2)}))),
+        ("1/2 * x", Scalar(Poly.symbol("x").scale(Fraction(1, 2)))),
         ("(x + 1)*(x - 1)", Scalar(Poly.symbol("x") ** 2 - Poly.const(1))),
         ("x / (y + 1)", Scalar(Poly.symbol("x"), Poly.symbol("y") + Poly.const(1))),
         ("2^3", as_scalar(8)),
         # juxtaposition multiplies, at the precedence of *
-        ("2 x (y + 1)", Scalar(2 * Poly.symbol("x") * (Poly.symbol("y") + 1))),
-        ("1/2 x^2 y", Scalar(Poly({(("x", 2), ("y", 1)): Fraction(1, 2)}))),
+        ("2 x (y + 1)",
+         Scalar((Poly.symbol("x") * (Poly.symbol("y") + ONE)).scale(2))),
+        ("1/2 x^2 y",
+         Scalar((Poly.symbol("x") ** 2 * Poly.symbol("y")).scale(Fraction(1, 2)))),
     ],
 )
 def test_parse_scalar_examples(text, expected):

@@ -1,14 +1,21 @@
 """Rational, the engine's coefficient that is not an int, against
-fractions.Fraction as the oracle."""
+fractions.Fraction as the oracle.
 
+A Fraction enters the engine only through ``_coeff``; past it every
+operand is an int or a Rational, and each result is compared with the
+oracle's by its (numerator, denominator).
+"""
+
+import ast
 import operator
-import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ckexpand
 from ckexpand.poly import (
     Poly,
     Rational,
@@ -27,13 +34,6 @@ values = st.one_of(
     st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)),
 )
 non_integral = values.filter(lambda q: q.denominator != 1)
-# the other operand as the engine holds it (an int when integral, else a
-# Rational) or as a Fraction
-operands = st.tuples(values, st.sampled_from(("engine", "fraction")))
-
-
-def operand(q, kind):
-    return _coeff(q) if kind == "engine" else q
 
 
 def assert_engine_form(result, want):
@@ -75,10 +75,11 @@ def test_the_engine_form_of_a_number():
         _coeff("abc")
 
 
-@given(non_integral, operands)
-def test_arithmetic_matches_fraction(p, other):
-    q, kind = other
-    a, b = _coeff(p), operand(q, kind)
+# the other operand as the engine holds it: an int when integral, else a
+# Rational
+@given(non_integral, values)
+def test_arithmetic_matches_fraction(p, q):
+    a, b = _coeff(p), _coeff(q)
     for op in (operator.add, operator.sub, operator.mul):
         assert_engine_form(op(a, b), op(p, q))
         assert_engine_form(op(b, a), op(q, p))
@@ -89,32 +90,41 @@ def test_arithmetic_matches_fraction(p, other):
     assert_engine_form(abs(a), abs(p))
 
 
-@given(non_integral, operands)
-def test_comparison_matches_fraction(p, other):
-    q, kind = other
-    a, b = _coeff(p), operand(q, kind)
+# the engine form of a value is unique, so == and != match too
+@given(non_integral, values)
+def test_comparison_matches_fraction(p, q):
+    a, b = _coeff(p), _coeff(q)
     for op in (operator.eq, operator.ne, operator.lt, operator.le,
                operator.gt, operator.ge):
         assert op(a, b) is op(p, q)
         assert op(b, a) is op(q, p)
 
 
-@given(values)
-def test_equal_values_hash_and_print_alike(p):
-    a = _coeff(p)
-    assert a == p and p == a
-    assert hash(a) == hash(p)
-    assert str(a) == str(p)
-    assert {p: "x"}[a] == "x" and {a: "x"}[p] == "x"
+@given(values, st.integers(1, 10**6))
+def test_equal_values_hash_and_print_alike(p, k):
+    # two equal coefficients made apart, the second from an unreduced pair
+    a, b = _coeff(p), _coeff(f"{p.numerator * k}/{p.denominator * k}")
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert str(a) == str(b) == str(p)
     if type(a) is Rational:
-        assert bool(a) and a != p.numerator
+        assert a is not b and bool(a)
         assert repr(a) == f"Rational({p.numerator}, {p.denominator})"
 
 
-def test_a_denominator_without_a_hash_inverse_hashes_as_fraction():
-    modulus = sys.hash_info.modulus
-    for n in (1, -3):
-        assert hash(Rational(n, modulus)) == hash(Fraction(n, modulus))
+@given(non_integral)
+def test_a_rational_never_equals_an_int_or_a_fraction(p):
+    a = _coeff(p)
+    for other in (p, Fraction(p), p.numerator, p.numerator // p.denominator):
+        assert a != other and other != a
+        assert not a == other and not other == a
+    assert {p: "x"}.get(a) is None and {a: "x"}.get(p) is None
+    # nor is it ordered against one, so <= cannot disagree with < or ==
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(a, p)
+        with pytest.raises(TypeError):
+            op(p, a)
 
 
 def test_other_operands_are_refused():
@@ -132,9 +142,9 @@ def test_other_operands_are_refused():
 @given(values)
 def test_division_by_zero_raises_as_before(p):
     a = _coeff(p)
+    with pytest.raises(ZeroDivisionError):
+        _quotient(a, 0)
     for zero in (0, Fraction(0)):
-        with pytest.raises(ZeroDivisionError):
-            _quotient(a, zero)
         with pytest.raises(ScalarDivisionError):
             Scalar.const(a) / zero
     with pytest.raises(ScalarDivisionError):
@@ -143,3 +153,42 @@ def test_division_by_zero_raises_as_before(p):
         exact_div(Poly.const(a), Poly())
     with pytest.raises(ScalarDivisionError):
         parse_scalar(f"({p})/0")
+
+
+def _fraction_uses(path):
+    """(enclosing definitions, what) for each import of ``fractions`` and
+    each name ``Fraction`` in the module at path."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "fractions" for m in modules):
+            uses.append((where, "import"))
+        named = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            named |= {node.name, node.asname}
+        if "Fraction" in named:
+            uses.append((where, "Fraction"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return uses
+
+
+def test_fraction_is_read_only_in_coeff():
+    # the one boundary where a number from outside becomes a coefficient:
+    # no engine code past it makes or compares a Fraction
+    src = Path(ckexpand.__file__).parent
+    uses = [use for path in sorted(src.glob("*.py"))
+            for use in _fraction_uses(path)]
+    assert [where for where, what in uses if what == "import"] == ["poly._coeff"]
+    assert {where for where, _ in uses} == {"poly._coeff"}
