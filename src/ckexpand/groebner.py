@@ -12,6 +12,7 @@ polynomials to normal form.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .poly import (
@@ -169,28 +170,33 @@ def _divides(a, b) -> bool:
 def _reduce(p: ParamPoly, basis) -> ParamPoly:
     """Full normal form of p against a list of ParamPolys.
 
-    Works on one mutable term dict: each step cancels the current leading
-    term with the first basis element whose leading monomial divides it,
-    or moves that term into the remainder.
+    Works on one mutable term dict keyed by (total degree, exponents), so
+    the leading term is the largest key.  Each step cancels it with the
+    first basis element whose leading monomial divides it (tails are read
+    once per call; a leading coefficient one is not divided by) or moves
+    it into the remainder.
     """
-    divisors = [(*b.leading(), b.terms) for b in basis]
-    work = dict(p.terms)
+    divisors = []
+    for b in basis:
+        bkey, blc = b.leading()
+        tail = [(sum(e), e, c) for e, c in b.terms.items() if e != bkey]
+        divisors.append((bkey, sum(bkey), blc, blc.is_one, tail))
+    work = {(sum(e), e): c for e, c in p.terms.items()}
     remainder = {}
     while work:
-        key = max(work, key=grlex_key)
+        deg, exps = key = max(work)
         coeff = work.pop(key)
-        for bkey, blc, bterms in divisors:
-            if _divides(bkey, key):
+        for bkey, bdeg, blc, monic, tail in divisors:
+            if all(map(le, bkey, exps)):
                 break
         else:
-            remainder[key] = coeff
+            remainder[exps] = coeff
             continue
-        neg = -(coeff / blc)
-        shift = tuple(k - bk for k, bk in zip(key, bkey))
-        for exps, c in bterms.items():
-            if exps == bkey:
-                continue  # cancels the popped leading term exactly
-            add_term(work, tuple(a + b for a, b in zip(exps, shift)), neg * c)
+        neg = -coeff if monic else -(coeff / blc)
+        shift = tuple(map(sub, exps, bkey))
+        deg -= bdeg
+        for tdeg, texps, c in tail:
+            add_term(work, (tdeg + deg, tuple(map(add, texps, shift))), neg * c)
     return ParamPoly(p.unknowns, remainder)
 
 

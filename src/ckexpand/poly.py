@@ -25,9 +25,11 @@ polynomial holds the shared ``ONE`` as its denominator, and only such a
 Scalar does; a constant carries its rational ``value``.  ``_build`` is
 the one constructor of a Scalar in that form, and ``_settle`` the one
 rule that brings another pair into it.  ``den is ONE`` picks the path:
-a sum or product of two polynomials is one ``terms_add`` or
-``terms_mul`` of the numerators, constant arithmetic skips the
-polynomials, and only a real denominator takes the fraction rules.
+a sum or product of two polynomials is one ``terms_add`` or ``terms_mul``
+of the numerators, constant arithmetic skips the polynomials, and only a
+real denominator takes the fraction rules.  A product with the shared
+``ONE`` is the other factor, so a fraction's products and sums with
+polynomials multiply only numerators and share its denominator.
 To keep shared factors from swelling, a sum goes over the larger
 denominator when one divides the other, and a product first cancels each
 numerator against the other denominator where one divides the other.
@@ -120,10 +122,9 @@ class Rational:
         self.numerator, self.denominator = numerator, denominator
 
     def __add__(self, other):
-        try:
-            m, e = other.numerator, other.denominator
-        except AttributeError:
+        if not isinstance(other, (int, Rational)):
             return NotImplemented
+        m, e = other.numerator, other.denominator
         n, d = self.numerator, self.denominator
         g = gcd(d, e)
         if g == 1:  # then n*e + m*d is prime to d*e
@@ -139,10 +140,9 @@ class Rational:
         return -self + other
 
     def __mul__(self, other):
-        try:
-            m, e = other.numerator, other.denominator
-        except AttributeError:
+        if not isinstance(other, (int, Rational)):
             return NotImplemented
+        m, e = other.numerator, other.denominator
         n, d = self.numerator, self.denominator
         g1, g2 = gcd(n, e), gcd(m, d)
         n, d = (n // g1) * (m // g2), (d // g2) * (e // g1)
@@ -231,18 +231,18 @@ def rational_content(coeffs):
 
 
 def monomial_content(monos):
-    """Largest monomial dividing every monomial of monos; () when none."""
+    """Largest monomial dividing every monomial of monos; () when none.
+    The running content is a sorted tuple, cut down pair by pair by each
+    monomial that is not that very object: no dicts and no final sort."""
     it = iter(monos)
-    try:
-        common = dict(next(it))
-    except StopIteration:
-        return ()
+    common = next(it, ())
     for mono in it:
         if not common:
             break
-        here = dict(mono)
-        common = {s: min(e, here[s]) for s, e in common.items() if s in here}
-    return tuple(sorted(common.items()))
+        if mono is not common:
+            common = tuple([(s, min(e, f)) for s, e in common
+                            for t, f in mono if s == t])
+    return common
 
 
 _ONE_TERMS = {(): 1}
@@ -314,6 +314,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
+        if self is ONE or other is ONE:  # a Poly is immutable
+            return other if self is ONE else self
         return Poly(terms_mul(self.terms, other.terms))
 
     def __pow__(self, n: int):
@@ -402,13 +404,14 @@ def _mono_div(mono, content):
 def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
     """The quotient a/b of the long division on ``_graded`` keys, or None
     when a quotient term leaves the exponent ranges lo..hi or a remainder
-    stays."""
+    stays.  Quotient terms are kept as keys and become monomials only once
+    the division succeeds."""
     rem = dict(zip(akeys, acoeffs))
     divisor = sorted(zip(bkeys, bcoeffs), reverse=True)
     bkey, bc = divisor[0]
     tail = divisor[1:]
     exact = type(bc) is int
-    quot = {}
+    quot = []
     while rem:
         key = max(rem)
         c = rem.pop(key)
@@ -419,7 +422,7 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
             qc = c // bc
         else:
             qc = _quotient(c, bc)
-        quot[tuple([(s, e) for s, e in zip(frame, qkey[1:]) if e])] = qc
+        quot.append((qkey, qc))
         for tkey, tc in tail:
             k = tuple(map(add, tkey, qkey))
             x = rem.get(k, 0) - qc * tc
@@ -427,7 +430,8 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
                 rem[k] = x
             else:
                 rem.pop(k, None)
-    return Poly(quot)
+    return Poly({tuple([(s, e) for s, e in zip(frame, qkey[1:]) if e]): qc
+                 for qkey, qc in quot})
 
 
 def _either_div(a: Poly, b: Poly, both=True):

@@ -12,10 +12,11 @@ from ckexpand.cli import (
     cmd_expand,
     cmd_verify,
 )
+from ckexpand.groebner import ParamPoly
 from ckexpand.liealg import BUILTIN_NAMES
 from ckexpand.poly import (
-    ONE, Poly, Scalar, _coeff, _constant, _mono_div, exact_div,
-    monomial_content,
+    ONE, Poly, Scalar, _coeff, _constant, _mono_div, add_term, exact_div,
+    grlex_key, monomial_content,
 )
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
@@ -238,6 +239,31 @@ def to_sympy_field(field, s: Scalar):
         }))
 
     return poly(s.num) / poly(s.den)
+
+
+def oracle_reduce(p: ParamPoly, basis) -> ParamPoly:
+    """The earlier groebner._reduce: the leading term found by grlex_key
+    over plain exponent keys, and always divided by the leading
+    coefficient."""
+    divisors = [(*b.leading(), b.terms) for b in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        key = max(work, key=grlex_key)
+        coeff = work.pop(key)
+        for bkey, blc, bterms in divisors:
+            if all(b <= k for b, k in zip(bkey, key)):
+                break
+        else:
+            remainder[key] = coeff
+            continue
+        neg = -(coeff / blc)
+        shift = tuple(k - bk for k, bk in zip(key, bkey))
+        for exps, c in bterms.items():
+            if exps == bkey:
+                continue  # cancels the popped leading term exactly
+            add_term(work, tuple(a + b for a, b in zip(exps, shift)), neg * c)
+    return ParamPoly(p.unknowns, remainder)
 
 
 def oracle_proportional(p, q):

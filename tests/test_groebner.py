@@ -1,9 +1,11 @@
 """Groebner bases of the constraint ideals in the expansion unknowns."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_proportional, to_sympy
+from oracles import oracle_proportional, oracle_reduce, to_sympy
 
 from ckexpand.groebner import (
     ParamPoly,
@@ -395,3 +397,80 @@ def test_atlas_bases_match_sympy():
     assert len(ideals) == 12
     for ideal in ideals:
         assert_matches_sympy(ideal)
+
+
+# -- normal forms against the earlier reduction and sympy ---------------------
+
+CUBIC = tuple((i, d - i) for d in range(4) for i in range(d + 1))
+
+
+@functools.cache
+def atlas_ideals():
+    from ckexpand.expand import run_atlas
+
+    return tuple(r.constraints for r in run_atlas()
+                 if r.constraints is not None)
+
+
+@st.composite
+def reductions(draw):
+    """(p, ideal, member): the groebner_basis of a systems() draw or of an
+    atlas arrow's raw constraints, its elements sometimes scaled so that
+    their leading coefficients are not one, and a ParamPoly of degree <= 3
+    that is a combination of the generators (member True), a random one,
+    or the sum of the two (member None: either)."""
+    if draw(st.booleans()):
+        ideal = groebner_basis([pp(t) for t in draw(systems())], AB)
+    else:
+        ideal = draw(st.sampled_from(atlas_ideals()))
+
+    def coefficient():
+        return parse_scalar(draw(st.sampled_from(COEFFICIENTS)))
+
+    if draw(st.booleans()):
+        ideal = ideal._replace(
+            groebner=tuple(b.scale(coefficient()) for b in ideal.groebner))
+
+    member = ParamPoly(AB)
+    for g in ideal.generators:
+        shift = draw(st.sampled_from(MONOMIALS[:3]))
+        member = member + g.shift(shift).scale(coefficient())
+    size = draw(st.integers(1, 4))
+    monos = draw(st.lists(st.sampled_from(CUBIC), min_size=size,
+                          max_size=size, unique=True))
+    other = ParamPoly(AB)
+    for exps in monos:
+        other = other + ParamPoly(AB, {exps: coefficient()})
+    kind = draw(st.sampled_from(["member", "other", "sum"]))
+    if kind == "member":
+        return member, ideal, True
+    return (other if kind == "other" else member + other), ideal, None
+
+
+def coefficient_terms(p: ParamPoly):
+    return [(e, c.num.terms, c.den.terms) for e, c in p.terms.items()]
+
+
+# sympy's import and reduced are slow next to the deadline
+@settings(deadline=None)
+@given(reductions())
+def test_normal_forms_match_the_earlier_reduction_and_sympy(case):
+    p, ideal, member = case
+    got = reduce_mod_ideal(p, ideal)
+    want = oracle_reduce(p, ideal.groebner)
+    assert coefficient_terms(got) == coefficient_terms(want)
+    assert str(got) == str(want)
+    if member:
+        assert got.is_zero
+    sympy = pytest.importorskip("sympy")
+    syms = [sympy.Symbol(u) for u in AB]
+    f = param_poly_to_sympy(p)
+    basis = [param_poly_to_sympy(b) for b in ideal.groebner]
+    params = sorted(
+        set().union(f.free_symbols, *(b.free_symbols for b in basis))
+        - set(syms), key=str
+    )
+    domain = sympy.QQ.frac_field(*params) if params else sympy.QQ
+    _, remainder = sympy.reduced(f, basis, *syms, order="grlex",
+                                 domain=domain)
+    assert sympy.cancel(remainder - param_poly_to_sympy(got)) == 0

@@ -22,6 +22,7 @@ from oracles import (
 
 from ckexpand.expand import make_problem
 from ckexpand.groebner import ParamPoly
+from ckexpand.kernel import terms_mul
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
     ONE,
@@ -35,6 +36,7 @@ from ckexpand.poly import (
     as_scalar,
     exact_div,
     grlex_key,
+    monomial_content,
     parse_scalar,
     split_symbols,
 )
@@ -183,6 +185,63 @@ def test_constant_factors_never_reach_the_polynomial_product():
     for got, num in zip(results[1:], expected):
         assert got == parse_scalar(f"({num})/(w1 - 3*c2)")
         assert got.den is s.den
+
+
+def test_a_polynomial_and_a_fraction_multiply_only_numerators():
+    import ckexpand.poly
+
+    s = parse_scalar("(w1*c1 + 2)/(w1 - 3*c2)")
+    p = parse_scalar("c1 + w2")
+    calls = []
+
+    def counted(x, y):
+        calls.append({id(x), id(y)})
+        return terms_mul(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckexpand.poly, "terms_mul", counted)
+        products = [p * s, s * p]
+        product_calls, calls[:] = calls[:], []
+        sums = [p + s, s + p, p - s, s - p]
+    # a product multiplies the two numerators, a sum one numerator by the
+    # denominator, and no product copies the denominator through ONE
+    assert product_calls == [{id(p.num.terms), id(s.num.terms)}] * 2
+    assert len(calls) == 4 and all(id(s.den.terms) in c for c in calls)
+    for got in products + sums:
+        assert got.den is s.den
+    assert products[0] == parse_scalar("(c1 + w2)*(w1*c1 + 2)/(w1 - 3*c2)")
+    assert sums[0] == parse_scalar("(c1 + w2) + (w1*c1 + 2)/(w1 - 3*c2)")
+    assert sums[2] == -sums[3]
+
+
+@given(polys)
+def test_a_product_with_the_shared_one_is_the_other_factor(a):
+    assert a * ONE is a and ONE * a is a
+    assert ONE * ONE is ONE
+
+
+def naive_content(monos):
+    """The least exponent of each symbol that every monomial has."""
+    exponents = [dict(m) for m in monos]
+    if not exponents:
+        return ()
+    shared = set(exponents[0]).intersection(*exponents)
+    return tuple(sorted((s, min(e[s] for e in exponents)) for s in shared))
+
+
+@given(st.lists(monomials, max_size=5), st.lists(st.integers(0, 9),
+                                                  max_size=4))
+@example([], [])
+@example([(("x", 2),)], [])
+@example([(("x", 2), ("y", 1)), ()], [0, 0])
+@example([(("x", 2), ("y", 1)), (("x", 1), ("z", 1))], [1, 0, 0])
+def test_monomial_content_is_the_least_shared_exponent(monos, repeats):
+    # repeats puts the very objects of monos in again, the first one too
+    monos = monos + [monos[i % len(monos)] for i in repeats if monos]
+    want = naive_content(monos)
+    assert monomial_content(monos) == want
+    # a generator, as ParamPoly.normalized passes
+    assert monomial_content(m for m in monos) == want
 
 
 def test_constant_arithmetic_never_reaches_the_polynomials():

@@ -137,6 +137,13 @@ def test_other_operands_are_refused():
             op(half, "1/2")
         with pytest.raises(TypeError):
             op(0.5, half)
+    # and a Fraction, as == refuses it: only _coeff reads one
+    for op in (operator.add, operator.sub, operator.mul):
+        for fraction in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
+            with pytest.raises(TypeError):
+                op(half, fraction)
+            with pytest.raises(TypeError):
+                op(fraction, half)
 
 
 @given(values)
