@@ -336,8 +336,6 @@ def _remainder_equations(remainder: UEAElement, pair: str, equation):
     eqs = []
     for exps in sorted(remainder.terms, key=grlex_key, reverse=True):
         pp = equation(remainder.terms[exps])
-        if pp.is_zero:
-            continue
         if pp.total_degree() == 0:
             raise InconsistentSystemError(
                 f"bracket {pair} requires the nonzero constant "
@@ -650,7 +648,12 @@ def run_expansion(problem: ExpansionProblem, degree_bound=None) -> ExpansionRepo
     verdicts, all_ok = verify_expansion(
         problem, hyp, ideal, report.remainders)
     report.brackets = verdicts
-    report.verdict = "pass" if all_ok and report.order_independent else "fail"
+    unit = any(b.total_degree() == 0 for b in ideal.groebner)
+    ok = all_ok and report.order_independent and not unit
+    report.verdict = "pass" if ok else "fail"
+    if unit:  # every equation lies in <1>, so verify_expansion passes it
+        report.remarks.append(
+            "the constraint ideal is the unit ideal: no expansion exists")
     if problem.axis == 1:
         report.remarks.append(
             "sign constraint not enforced: real solutions for a1 require "

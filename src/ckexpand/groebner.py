@@ -91,8 +91,6 @@ class ParamPoly(TermSum):
         if self.is_zero:
             return self
         key, lc = self.leading()
-        if lc.is_one:
-            return self
         inv = lc.inverse()
         one = Scalar.one()
         return self._like({
@@ -126,7 +124,7 @@ class ParamPoly(TermSum):
         repeated one is cleared once.  A factor that two different
         denominators share stays behind as a common factor of the
         coefficients: removing it waits on a polynomial gcd (ROADMAP
-        direction 3).
+        direction 4).
         """
         if self.is_zero:
             return self
@@ -162,11 +160,6 @@ class ParamPoly(TermSum):
         return f"ParamPoly({self})"
 
 
-def _divides(a, b) -> bool:
-    """True when the monomial with exponents a divides the one with b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _reduce(p: ParamPoly, basis) -> ParamPoly:
     """Full normal form of p against a list of ParamPolys.
 
@@ -200,14 +193,10 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
     return ParamPoly(p.unknowns, remainder)
 
 
-def _spoly(f: ParamPoly, g: ParamPoly) -> ParamPoly:
-    """S-polynomial of two monic ParamPolys (every basis element is)."""
-    fk = f.leading()[0]
-    gk = g.leading()[0]
-    lcm = tuple(max(a, b) for a, b in zip(fk, gk))
-    return f.shift(tuple(l - a for l, a in zip(lcm, fk))) - g.shift(
-        tuple(l - a for l, a in zip(lcm, gk))
-    )
+def _spoly(f: ParamPoly, g: ParamPoly, fk, gk, lcm) -> ParamPoly:
+    """S-polynomial of two monic ParamPolys (every basis element is) with
+    leading monomials fk and gk, whose lcm the pair queue already holds."""
+    return f.shift(tuple(map(sub, lcm, fk))) - g.shift(tuple(map(sub, lcm, gk)))
 
 
 class RelationIdeal(NamedTuple):
@@ -228,10 +217,11 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     Buchberger's algorithm with the product criterion.  Each input
     generator is first reduced against the basis built so far and dropped
     when it reduces to zero, so a generator that lies in the ideal of the
-    earlier ones forms no S-pair.  The pending pair with the smallest lcm
-    of leading monomials goes first (ties by index), and a pair with
-    coprime leading monomials is skipped.  ``generators`` keeps every
-    nonzero input.
+    earlier ones forms no S-pair.  A pair is formed once, with the lcm of
+    its leading monomials, and never queued when they are coprime, that
+    is when the lcm's degree is the sum of theirs.  The pending pair with
+    the smallest lcm goes first (ties by index).  ``generators`` keeps
+    every nonzero input.
     """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
@@ -249,8 +239,9 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         basis.append(p.monic())
         leads.append(basis[j].leading()[0])
         for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-            heapq.heappush(heap, (grlex_key(lcm), i, j))
+            lcm = tuple(map(max, leads[i], leads[j]))
+            if sum(lcm) < sum(leads[i]) + sum(leads[j]):  # not coprime
+                heapq.heappush(heap, (grlex_key(lcm), i, j))
 
     for p in polys:
         # p and its remainder generate the same ideal together with the
@@ -260,10 +251,8 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         if not p.is_zero:
             add(p)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if all(not (a and b) for a, b in zip(leads[i], leads[j])):
-            continue  # product criterion
-        s = _reduce(_spoly(basis[i], basis[j]), basis)
+        (_, lcm), i, j = heapq.heappop(heap)
+        s = _reduce(_spoly(basis[i], basis[j], leads[i], leads[j], lcm), basis)
         if not s.is_zero:
             add(s)
     # minimal basis: drop every element whose leading monomial another
@@ -272,7 +261,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         b
         for i, b in enumerate(basis)
         if not any(
-            _divides(lead, leads[i]) and (lead != leads[i] or k < i)
+            all(map(le, lead, leads[i])) and (lead != leads[i] or k < i)
             for k, lead in enumerate(leads)
             if k != i
         )

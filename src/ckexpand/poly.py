@@ -127,8 +127,6 @@ class Rational:
         m, e = other.numerator, other.denominator
         n, d = self.numerator, self.denominator
         g = gcd(d, e)
-        if g == 1:  # then n*e + m*d is prime to d*e
-            return Rational(n * e + m * d, d * e)
         return _ratio(n * (e // g) + m * (d // g), d // g * e)
 
     __radd__ = __add__
@@ -233,15 +231,14 @@ def rational_content(coeffs):
 def monomial_content(monos):
     """Largest monomial dividing every monomial of monos; () when none.
     The running content is a sorted tuple, cut down pair by pair by each
-    monomial that is not that very object: no dicts and no final sort."""
+    further monomial: no dicts and no final sort."""
     it = iter(monos)
     common = next(it, ())
     for mono in it:
         if not common:
             break
-        if mono is not common:
-            common = tuple([(s, min(e, f)) for s, e in common
-                            for t, f in mono if s == t])
+        common = tuple([(s, min(e, f)) for s, e in common
+                        for t, f in mono if s == t])
     return common
 
 
@@ -290,8 +287,6 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
         index = {s: i for i, s in enumerate(self.variables(), 1)}
         mono = max(self.terms, key=lambda m: _graded(m, index))
         return mono, self.terms[mono]
@@ -321,13 +316,13 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.const(1)
-        base = self
+        result, base = ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, q) -> "Poly":
@@ -713,9 +708,7 @@ class Scalar:
         other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is ONE and other.den is ONE:
-            return self.num == other.num
-        # cross-multiplication: canonical Poly makes this structural
+        # cross-multiplying, structural as Poly is canonical; ONE * p is p
         return self.num * other.den == other.num * self.den
 
     # equality is by cross-multiplication, which the normalized

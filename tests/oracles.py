@@ -1,4 +1,5 @@
-"""Independent reference implementations used by several test modules."""
+"""Independent reference implementations, and a call counter, used by
+several test modules."""
 
 import argparse
 import itertools
@@ -19,6 +20,20 @@ from ckexpand.poly import (
     grlex_key, monomial_content,
 )
 from ckexpand.uea import UEAElement, _Span, uea_mul
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one item per call of module.name, which is
+    replaced by a counting wrapper for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def same_brackets(g, h) -> bool:

@@ -607,6 +607,31 @@ MALFORMED = {
         },
         "'[P1,H]'",
     ),
+    "self-bracket": (
+        {"generators": ["H", "P1"], "brackets": {"[H,H]": "P1"}},
+        "error: self-bracket '[H,H]' must not be given",
+    ),
+    "key-without-brackets": (
+        {"generators": ["H", "P1"], "brackets": {"H,P1": "P1"}},
+        "error: bad bracket key 'H,P1'",
+    ),
+    "bad-character": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": "P1 $ 2"}},
+        "error: bracket '[H,P1]': bad character in expression: ' $ 2'",
+    ),
+    "non-integer-exponent": (
+        {"generators": ["H", "P1"], "parameters": ["w1"],
+         "brackets": {"[H,P1]": "P1^w1"}},
+        "error: bracket '[H,P1]': exponent must be an integer",
+    ),
+    "unclosed-parenthesis": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": "(P1"}},
+        "error: bracket '[H,P1]': unexpected end of expression",
+    ),
+    "trailing-input": (
+        {"generators": ["H", "P1"], "brackets": {"[H,P1]": "P1)"}},
+        "error: bracket '[H,P1]': trailing input in expression: 'P1)'",
+    ),
 }
 
 
@@ -619,3 +644,21 @@ def test_malformed_definition_exits_2(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error:")
     assert named in err
+
+
+def test_a_negative_exponent_in_a_definition_reads_as_a_quotient(
+        capsys, tmp_path):
+    printed = []
+    for name, value in (("power", "w1^-1*P1"), ("quotient", "P1/w1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "name": "q", "generators": ["H", "P1"], "parameters": ["w1"],
+            "brackets": {"[H,P1]": value},
+        }))
+        # a valid definition: verify runs it rather than exiting 2
+        assert run(capsys, "verify", str(path))[0] == 0
+        code, out, _ = run(capsys, "algebra", str(path), "--json")
+        assert code == 0
+        printed.append(out)
+    assert printed[0] == printed[1]
+    assert json.loads(printed[0])["brackets"] == {"[H,P1]": "((1)/(w1))*P1"}

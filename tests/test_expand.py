@@ -40,7 +40,8 @@ from ckexpand.poly import Rational, parse_scalar
 from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
 
 from oracles import (
-    grid_edges, oracle_reconstruct, oracle_span_reducer, same_brackets,
+    count_calls, grid_edges, oracle_reconstruct, oracle_span_reducer,
+    same_brackets,
 )
 
 AB = ("a1", "a2")
@@ -488,18 +489,6 @@ def test_the_reverse_run_sees_the_generators_reversed(monkeypatch):
     assert sum(seen[k] != seen[k + 1] for k in range(0, len(seen), 2)) == 6
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
     # a guard on the Groebner work of one atlas pass: generators are
     # reduced on entry, so a generator that lies in the ideal of the
@@ -579,6 +568,27 @@ def test_each_distinct_coefficient_is_normalized_and_reduced_once(
         problem, report.hypothesis, ideal, remainders)
     assert len(reductions) == 2
     assert ok and verdicts == report.brackets
+
+
+def test_a_unit_constraint_ideal_fails(monkeypatch, capsys):
+    # a1 - 1 and a1 - 2 force 1 into the ideal; every residual reduces to
+    # zero modulo [1], so only the basis itself shows that nothing solves
+    import ckexpand.expand
+    from ckexpand.cli import main
+
+    original = ckexpand.expand._constraint_ideal
+
+    def forced(eq_lists):
+        return original([*eq_lists, [pp("a1 - 1"), pp("a1 - 2")]])
+
+    monkeypatch.setattr(ckexpand.expand, "_constraint_ideal", forced)
+    report = run_expansion(make_problem("euclid3", 1, 1))
+    assert [str(b) for b in report.constraints.groebner] == ["1"]
+    assert report.verdict == "fail" and not report.ok
+    assert report.remarks[0] == (
+        "the constraint ideal is the unit ideal: no expansion exists")
+    assert main(["expand", "euclid3", "--axis", "1", "--omega", "1"]) == 1
+    assert "unit ideal" in capsys.readouterr().out
 
 
 def test_bound_0_passes():

@@ -5,8 +5,9 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_proportional, oracle_reduce, to_sympy
+from oracles import count_calls, oracle_proportional, oracle_reduce, to_sympy
 
+import ckexpand.groebner
 from ckexpand.groebner import (
     ParamPoly,
     RelationIdeal,
@@ -202,22 +203,8 @@ def test_unknown_budget_is_enforced():
 # -- S-pairs and the single inter-reduction pass ------------------------------
 
 
-def count_calls(monkeypatch, name):
-    import ckexpand.groebner
-
-    calls = []
-    original = getattr(ckexpand.groebner, name)
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(ckexpand.groebner, name, counted)
-    return calls
-
-
 def test_coprime_leading_monomials_reduce_no_s_pair(monkeypatch):
-    spolys = count_calls(monkeypatch, "_spoly")
+    spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     ideal = groebner_basis([pp("a1^2 + w1"), pp("a2^2 + w2")], AB)
     assert [str(b) for b in ideal.groebner] == ["a2^2 + w2", "a1^2 + w1"]
     # the product criterion skips the only pair
@@ -226,7 +213,7 @@ def test_coprime_leading_monomials_reduce_no_s_pair(monkeypatch):
 
 def test_pairs_without_coprime_leads_each_reduce_an_s_polynomial(
         monkeypatch):
-    spolys = count_calls(monkeypatch, "_spoly")
+    spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     # every element of this ideal is a multiple of a1, so no two leading
     # monomials are coprime and the product criterion never applies
     gens = [pp("a1^3 + w1*a1"), pp("a1^2*a2 + c1*a1"), pp("a1*a2^2 + a1")]
@@ -237,8 +224,8 @@ def test_pairs_without_coprime_leads_each_reduce_an_s_polynomial(
 
 
 def test_redundant_generator_is_dropped_in_one_pass(monkeypatch):
-    spolys = count_calls(monkeypatch, "_spoly")
-    reductions = count_calls(monkeypatch, "_reduce")
+    spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
+    reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
     # the leading monomial a1 divides a1*a2
     ideal = groebner_basis([pp("a1 + w1"), pp("a1*a2 + c1*a2^2")], AB)
     assert [str(b) for b in ideal.groebner] == [
@@ -254,7 +241,7 @@ def test_redundant_generator_is_dropped_in_one_pass(monkeypatch):
 
 def test_generator_in_the_ideal_of_the_earlier_ones_forms_no_s_pair(
         monkeypatch):
-    spolys = count_calls(monkeypatch, "_spoly")
+    spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     gens = [pp("a1 + w1"), pp("a2 + c1"), pp("(a1 + w1)*a2 + a2 + c1")]
     ideal = groebner_basis(gens, AB)
     assert [str(b) for b in ideal.groebner] == ["a2 + c1", "a1 + w1"]
@@ -273,7 +260,7 @@ def test_equal_bases_are_one_ideal_without_a_reduction(monkeypatch):
     ideal = groebner_basis(gens, AB)
     again = groebner_basis(list(reversed(gens)), AB)
     assert ideal.groebner is not again.groebner
-    reductions = count_calls(monkeypatch, "_reduce")
+    reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
     assert ideal_equals(ideal, ideal)
     assert ideal_equals(ideal, again)
     assert len(reductions) == 0
@@ -474,3 +461,14 @@ def test_normal_forms_match_the_earlier_reduction_and_sympy(case):
     _, remainder = sympy.reduced(f, basis, *syms, order="grlex",
                                  domain=domain)
     assert sympy.cancel(remainder - param_poly_to_sympy(got)) == 0
+
+
+def test_inputs_are_coerced_to_param_polys_in_the_ideal_unknowns():
+    texts = ["c1*a2^2 + w2", "2*c1*a1 + c2*a2"]
+    want = groebner_basis([pp(t) for t in texts], AB)
+    for gens in ([parse_scalar(t) for t in texts], texts):
+        assert list(groebner_basis(gens, AB).groebner) == list(want.groebner)
+    assert reduce_mod_ideal("a1*a2", want) == reduce_mod_ideal(pp("a1*a2"), want)
+    other = ParamPoly.from_scalar(parse_scalar("a1 + w1"), ("a1",))
+    with pytest.raises(ValueError, match="unknown lists differ"):
+        reduce_mod_ideal(other, want)

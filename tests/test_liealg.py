@@ -313,3 +313,11 @@ def test_json_rejects_nonlinear_bracket():
     }
     with pytest.raises(ValueError):
         LieAlgebra.from_json_dict(data)
+
+
+def test_json_reads_a_reversed_key_with_the_sign_flipped():
+    data = builtin_algebra("poincare").to_json_dict()
+    assert data["brackets"].pop("[H,K1]") == "-P1"
+    data["brackets"]["[K1,H]"] = "P1"
+    assert same_brackets(LieAlgebra.from_json_dict(data),
+                         builtin_algebra("poincare"))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    count_calls,
     oracle_inverse,
     oracle_monic,
     oracle_mul,
@@ -721,6 +722,23 @@ def test_scalar_equality_is_cross_multiplication(a, b, c):
     assert Scalar(a, b) == Scalar(a * c, b * c)
 
 
+def test_a_power_squares_only_below_its_top_bit(monkeypatch):
+    import ckexpand.poly
+
+    p = Poly.symbol("x") + Poly.const(-2)
+    want = {1: p}
+    for n in (2, 3, 4):
+        want[n] = naive_mul(want[n - 1], p)
+    calls = count_calls(monkeypatch, ckexpand.poly, "terms_mul")
+    assert p ** 0 is ONE and p ** 1 is p and not calls
+    made = {}
+    for n in (2, 3, 4):
+        calls.clear()
+        assert p ** n == want[n]
+        made[n] = len(calls)
+    assert made == {2: 1, 3: 2, 4: 2}
+
+
 def test_polynomial_scalar_equality_multiplies_nothing(monkeypatch):
     import ckexpand.poly
 
@@ -853,6 +871,9 @@ def test_zero_denominator_rejected():
          Scalar((Poly.symbol("x") * (Poly.symbol("y") + ONE)).scale(2))),
         ("1/2 x^2 y",
          Scalar((Poly.symbol("x") ** 2 * Poly.symbol("y")).scale(Fraction(1, 2)))),
+        # a negative exponent is a quotient
+        ("w1^-1", Scalar(ONE, Poly.symbol("w1"))),
+        ("2*w1^-2", Scalar(Poly.const(2), Poly.symbol("w1") ** 2)),
     ],
 )
 def test_parse_scalar_examples(text, expected):
@@ -866,7 +887,8 @@ def test_parse_roundtrips_str(a, b):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x +", "((x)", "x ** 2", "1//2"):
+    for bad in ("", "x +", "((x)", "x ** 2", "1//2",
+                "P1 $ 2", "K1^w1", "(K1", "K1)"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
@@ -982,3 +1004,4 @@ def test_term_sum_arithmetic_is_not_redefined(cls):
     # both classes take their arithmetic from TermSum alone
     shared = ("__add__", "__sub__", "__neg__", "scale", "__eq__")
     assert not [name for name in shared if name in vars(cls)]
+
