@@ -7,6 +7,13 @@ represents such polynomials, computes reduced Groebner bases with
 Buchberger's algorithm under a frozen graded-lex order (total degree
 first, then lex with the earlier unknown more significant), and reduces
 polynomials to normal form.
+
+Buchberger's pair loop is fraction-free (Becker and Weispfenning,
+*Groebner Bases*, 1993): its elements keep polynomial coefficients, each
+with its content divided out, and only the reduced basis is divided by
+its leading coefficients, once, so that a fraction is formed only where
+it is printed.  Normal forms modulo that monic basis (``reduce_mod_ideal``)
+are taken over the parameter field.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from operator import add, le, sub
 from typing import NamedTuple
 
 from .poly import (
-    Poly, Scalar, TermSum, add_term, as_scalar, grlex_key, monomial_content,
-    rational_content, split_symbols,
+    Poly, Scalar, TermSum, _mono_div, _quotient, add_term, as_scalar,
+    exact_div, grlex_key, monomial_content, rational_content, split_symbols,
 )
 
 __all__ = [
@@ -87,16 +94,6 @@ class ParamPoly(TermSum):
             },
         )
 
-    def monic(self) -> "ParamPoly":
-        if self.is_zero:
-            return self
-        key, lc = self.leading()
-        inv = lc.inverse()
-        one = Scalar.one()
-        return self._like({
-            e: one if e == key else c * inv for e, c in self.terms.items()
-        })
-
     def proportional_to(self, other) -> bool:
         """True when self = u * other for a nonzero parameter Scalar u.
 
@@ -133,11 +130,11 @@ class ParamPoly(TermSum):
         while dens:
             result = result.scale(Scalar(dens[0]))
             dens = [c.den for c in result.terms.values() if not c.den.is_one]
-        nums = [c.num.terms for c in result.terms.values()]
-        content = rational_content(q for t in nums for q in t.values())
-        common = monomial_content(m for t in nums for m in t)
-        divisor = Scalar(Poly({common: content}))
-        result = result.scale(divisor.inverse())
+        common, content = _content([c.num for c in result.terms.values()])
+        if content != 1 or common:
+            result = result._like({
+                e: Scalar(_over_content(c.num, common, content))
+                for e, c in result.terms.items()})
         _, lc = result.leading()
         if lc.num.leading()[1] < 0:
             result = -result
@@ -160,16 +157,21 @@ class ParamPoly(TermSum):
         return f"ParamPoly({self})"
 
 
-def _reduce(p: ParamPoly, basis) -> ParamPoly:
+def _reduce(p: ParamPoly, basis, fraction_free=False) -> ParamPoly:
     """Full normal form of p against a list of ParamPolys.
 
     Works on one mutable term dict keyed by (total degree, exponents), so
     the leading term is the largest key.  Each step cancels it with the
     first basis element whose leading monomial divides it (tails are read
     once per call; a leading coefficient one is not divided by) or moves
-    it into the remainder.
+    it into the remainder.  With ``fraction_free`` every coefficient is a
+    polynomial, and a step multiplies the work and the remainder by the
+    element's leading coefficient instead of dividing by it, so the result
+    is a polynomial multiple of the normal form and no fraction is formed;
+    p itself comes back when no step was taken.
     """
     divisors = []
+    reduced = False
     for b in basis:
         bkey, blc = b.leading()
         tail = [(sum(e), e, c) for e, c in b.terms.items() if e != bkey]
@@ -185,18 +187,91 @@ def _reduce(p: ParamPoly, basis) -> ParamPoly:
         else:
             remainder[exps] = coeff
             continue
-        neg = -coeff if monic else -(coeff / blc)
+        reduced = True
+        if monic or not fraction_free:
+            neg = -coeff if monic else -(coeff / blc)
+        else:
+            work = {k: c * blc for k, c in work.items()}
+            remainder = {e: c * blc for e, c in remainder.items()}
+            neg = -coeff
         shift = tuple(map(sub, exps, bkey))
         deg -= bdeg
         for tdeg, texps, c in tail:
             add_term(work, (tdeg + deg, tuple(map(add, texps, shift))), neg * c)
+    if fraction_free and not reduced:
+        return p
     return ParamPoly(p.unknowns, remainder)
 
 
 def _spoly(f: ParamPoly, g: ParamPoly, fk, gk, lcm) -> ParamPoly:
-    """S-polynomial of two monic ParamPolys (every basis element is) with
-    leading monomials fk and gk, whose lcm the pair queue already holds."""
-    return f.shift(tuple(map(sub, lcm, fk))) - g.shift(tuple(map(sub, lcm, gk)))
+    """S-polynomial of two ParamPolys with polynomial coefficients and
+    leading monomials fk and gk, whose lcm the pair queue already holds:
+    each side is multiplied by the other side's leading coefficient, so
+    no fraction is formed."""
+    fshift, gshift = tuple(map(sub, lcm, fk)), tuple(map(sub, lcm, gk))
+    glc, neg_flc = g.terms[gk], -f.terms[fk]
+    terms = {tuple(map(add, e, fshift)): c * glc for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        add_term(terms, tuple(map(add, e, gshift)), c * neg_flc)
+    return f._like(terms)
+
+
+def _content(nums):
+    """(monomial, rational) content shared by the Polys nums."""
+    return (monomial_content(m for n in nums for m in n.terms),
+            rational_content(q for n in nums for q in n.terms.values()))
+
+
+def _over_content(n: Poly, common, content) -> Poly:
+    """n divided by the monomial common times the rational content."""
+    return Poly({_mono_div(m, common) if common else m: _quotient(c, content)
+                 for m, c in n.terms.items()})
+
+
+def _primitive(p: ParamPoly) -> ParamPoly:
+    """p, whose coefficients are polynomials, divided by their content.
+
+    A constant leading coefficient is divided out, which leaves p monic.
+    Otherwise the rational and the monomial content go, and then the
+    primitive part of the coefficient with the fewest terms when it
+    exactly divides every coefficient.  A polynomial content that test
+    misses stays: there is no polynomial gcd (ROADMAP direction 4).
+    """
+    _, lc = p.leading()
+    if lc.value is not None:
+        return p if lc.value == 1 else p.scale(lc.inverse())
+    nums = [c.num for c in p.terms.values()]
+    common, content = _content(nums)
+    trivial = content == 1 and not common
+    if not trivial:
+        nums = [_over_content(n, common, content) for n in nums]
+    small = min(nums, key=lambda n: len(n.terms))
+    if len(small.terms) < 2:
+        if trivial:
+            return p
+    else:
+        # small is its content times divisor, so its quotient is known
+        common, content = _content([small])
+        divisor = _over_content(small, common, content)
+        quotients = []
+        for n in nums:
+            q = Poly({common: content}) if n is small else exact_div(n, divisor)
+            if q is None:
+                break
+            quotients.append(q)
+        else:
+            nums = quotients
+    return p._like({e: Scalar(n) for e, n in zip(p.terms, nums)})
+
+
+def _monic(b: ParamPoly) -> ParamPoly:
+    """b over its leading coefficient: one Scalar(c, lc) per coefficient."""
+    key, lc = b.leading()
+    if lc.is_one:
+        return b
+    one = Scalar.one()
+    return b._like({e: one if e == key else Scalar(c.num, lc.num)
+                    for e, c in b.terms.items()})
 
 
 class RelationIdeal(NamedTuple):
@@ -222,6 +297,13 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     is when the lcm's degree is the sum of theirs.  The pending pair with
     the smallest lcm goes first (ties by index).  ``generators`` keeps
     every nonzero input.
+
+    The loop is fraction-free.  An input with a denominator enters as its
+    ``normalized`` form, S-polynomials and reductions multiply by leading
+    coefficients instead of dividing by them, and every new element loses
+    its content (``_primitive``).  The minimal basis is tail-reduced the
+    same way, and then each element is divided by its leading coefficient
+    once, one ``Scalar(c, lc)`` per coefficient.
     """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
@@ -236,7 +318,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
 
     def add(p):
         j = len(basis)
-        basis.append(p.monic())
+        basis.append(_primitive(p))
         leads.append(basis[j].leading()[0])
         for i in range(j):
             lcm = tuple(map(max, leads[i], leads[j]))
@@ -246,13 +328,16 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     for p in polys:
         # p and its remainder generate the same ideal together with the
         # basis so far, and a zero remainder adds nothing
+        if not all(c.den.is_one for c in p.terms.values()):
+            p = p.normalized()  # the loop takes polynomial coefficients
         if basis:
-            p = _reduce(p, basis)
+            p = _reduce(p, basis, True)
         if not p.is_zero:
             add(p)
     while heap:
         (_, lcm), i, j = heapq.heappop(heap)
-        s = _reduce(_spoly(basis[i], basis[j], leads[i], leads[j], lcm), basis)
+        s = _spoly(basis[i], basis[j], leads[i], leads[j], lcm)
+        s = _reduce(s, basis, True)
         if not s.is_zero:
             add(s)
     # minimal basis: drop every element whose leading monomial another
@@ -266,11 +351,13 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
             if k != i
         )
     ]
-    # the monic leading terms of a minimal basis stay put under tail
-    # reduction, so one pass gives the unique reduced basis
-    for i in range(len(basis)):
-        basis[i] = _reduce(basis[i], basis[:i] + basis[i + 1 :])
-    basis.sort(key=lambda b: grlex_key(b.leading()[0]))
+    # the leading terms of a minimal basis stay put under tail reduction,
+    # so one pass and one division by each leading coefficient give the
+    # unique reduced basis
+    for i, b in enumerate(basis):
+        r = _reduce(b, basis[:i] + basis[i + 1 :], True)
+        basis[i] = r if r is b else _primitive(r)
+    basis = sorted(map(_monic, basis), key=lambda b: grlex_key(b.leading()[0]))
     return RelationIdeal(unknowns=unknowns, generators=polys, groebner=basis)
 
 

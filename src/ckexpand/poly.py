@@ -569,7 +569,10 @@ class Scalar:
         # denominator 1 leaves a polynomial
         if not den.is_one:
             c = den.content()
-            if den.leading()[1] < 0:
+            terms = den.terms
+            lead = (next(iter(terms.values())) if len(terms) == 1
+                    else den.leading()[1])
+            if lead < 0:
                 c = -c
             if c != 1:
                 c = _quotient(1, c)
@@ -892,8 +895,11 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in expression: {text[pos:]!r}")
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ValueError(
+                    f"bad character {rest[0]!r} at position "
+                    f"{len(text) - len(rest) + 1} of expression {text!r}")
             break
         pos = m.end()
         if m.lastgroup == "int":

@@ -2,7 +2,9 @@
 several test modules."""
 
 import argparse
+import heapq
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -279,6 +281,54 @@ def oracle_reduce(p: ParamPoly, basis) -> ParamPoly:
                 continue  # cancels the popped leading term exactly
             add_term(work, tuple(a + b for a, b in zip(exps, shift)), neg * c)
     return ParamPoly(p.unknowns, remainder)
+
+
+def oracle_groebner_basis(gens, unknowns):
+    """The earlier groebner_basis, over the parameter field: every element
+    is made monic as it enters, the S-polynomial of two monic elements is
+    a difference of shifts, and reductions are ``oracle_reduce``.  Returns
+    the reduced basis as a list."""
+    def monic(p):
+        key, lc = p.leading()
+        inv = lc.inverse()
+        return p._like({e: Scalar.one() if e == key else c * inv
+                        for e, c in p.terms.items()})
+
+    polys = [ParamPoly.coerce(g, unknowns) for g in gens]
+    polys = [p for p in polys if not p.is_zero]
+    basis, leads, heap = [], [], []
+
+    def add(p):
+        j = len(basis)
+        basis.append(monic(p))
+        leads.append(basis[j].leading()[0])
+        for i in range(j):
+            lcm = tuple(map(max, leads[i], leads[j]))
+            if sum(lcm) < sum(leads[i]) + sum(leads[j]):  # not coprime
+                heapq.heappush(heap, (grlex_key(lcm), i, j))
+
+    for p in polys:
+        if basis:
+            p = oracle_reduce(p, basis)
+        if not p.is_zero:
+            add(p)
+    while heap:
+        (_, lcm), i, j = heapq.heappop(heap)
+        f, g = basis[i], basis[j]
+        s = (f.shift(tuple(a - b for a, b in zip(lcm, leads[i])))
+             - g.shift(tuple(a - b for a, b in zip(lcm, leads[j]))))
+        s = oracle_reduce(s, basis)
+        if not s.is_zero:
+            add(s)
+    basis = [
+        b for i, b in enumerate(basis)
+        if not any(all(map(operator.le, lead, leads[i]))
+                   and (lead != leads[i] or k < i)
+                   for k, lead in enumerate(leads) if k != i)
+    ]
+    for i in range(len(basis)):
+        basis[i] = oracle_reduce(basis[i], basis[:i] + basis[i + 1:])
+    return sorted(basis, key=lambda b: grlex_key(b.leading()[0]))
 
 
 def oracle_proportional(p, q):

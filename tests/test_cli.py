@@ -617,7 +617,8 @@ MALFORMED = {
     ),
     "bad-character": (
         {"generators": ["H", "P1"], "brackets": {"[H,P1]": "P1 $ 2"}},
-        "error: bracket '[H,P1]': bad character in expression: ' $ 2'",
+        "error: bracket '[H,P1]': bad character '$' at position 4 of "
+        "expression 'P1 $ 2'",
     ),
     "non-integer-exponent": (
         {"generators": ["H", "P1"], "parameters": ["w1"],

@@ -1,11 +1,15 @@
 """Groebner bases of the constraint ideals in the expansion unknowns."""
 
 import functools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import count_calls, oracle_proportional, oracle_reduce, to_sympy
+from oracles import (
+    count_calls, oracle_groebner_basis, oracle_proportional, oracle_reduce,
+    to_sympy,
+)
 
 import ckexpand.groebner
 from ckexpand.groebner import (
@@ -364,6 +368,17 @@ def test_groebner_basis_matches_sympy(texts):
     assert_matches_sympy(groebner_basis([pp(t) for t in texts], AB))
 
 
+# the unit ideal below, where fraction-free coefficients swell most
+@example(["w1*c1*a1^2 - w1*a2^2 - 3*a2", "w1*c1*a1 + a1^2 - 3*w1^2*a1*a2",
+          "-1 + 2*c1*a1^2 + c1*a1"])
+@settings(deadline=None)
+@given(systems())
+def test_groebner_basis_equals_the_earlier_field_buchberger(texts):
+    gens = [pp(t) for t in texts]
+    assert list(groebner_basis(gens, AB).groebner) == oracle_groebner_basis(
+        gens, AB)
+
+
 def test_parametric_trinomial_system_is_the_unit_ideal():
     # three trinomials with parameter coefficients: without cancelling
     # shared denominator factors the fractions swelled for many seconds
@@ -384,6 +399,55 @@ def test_atlas_bases_match_sympy():
     assert len(ideals) == 12
     for ideal in ideals:
         assert_matches_sympy(ideal)
+
+
+# -- printed bases do not depend on the generators given ---------------------
+
+
+def recombined(gens, rng):
+    """The same ideal from other generators: the row p = sum c_k g_k is
+    appended, c*p is added to the first generator, and the rows are
+    shuffled, with each c drawn from -2, -1, 1 and 2.  Every step is an
+    invertible row operation."""
+    def const():
+        return Scalar.const(rng.choice((-2, -1, 1, 2)))
+
+    extra = ParamPoly(AB)
+    for g in gens:
+        extra = extra + g.scale(const())
+    rows = [gens[0] + extra.scale(const()), *gens[1:], extra]
+    rng.shuffle(rows)
+    return rows
+
+
+@functools.cache
+def constraint_systems():
+    """The raw constraint generators of every atlas arrow, then of every
+    (initial, axis) of the atlas with the expanded coefficient symbolic."""
+    from ckexpand.expand import ATLAS, make_problem, run_expansion
+
+    systems = [tuple(ideal.generators) for ideal in atlas_ideals()]
+    seen = []
+    for _, initial, axis, _, expected_failure in ATLAS:
+        if not expected_failure and (initial, axis) not in seen:
+            seen.append((initial, axis))
+            report = run_expansion(make_problem(initial, axis, "sym"))
+            systems.append(tuple(report.constraints.generators))
+    return tuple(systems)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_printed_bases_do_not_depend_on_the_generators_given(seed):
+    # the reduced basis is unique, so each coefficient prints alike only
+    # when it comes out in lowest terms whatever generators were given
+    rng = random.Random(seed)
+    systems = constraint_systems()
+    assert len(systems) == 18
+    for gens in systems:
+        want = [str(b) for b in groebner_basis(gens, AB).groebner]
+        for _ in range(5):
+            got = groebner_basis(recombined(list(gens), rng), AB)
+            assert [str(b) for b in got.groebner] == want
 
 
 # -- normal forms against the earlier reduction and sympy ---------------------

@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from ckexpand.expand import make_problem
-from ckexpand.groebner import ParamPoly
+from ckexpand.groebner import ParamPoly, _monic
 from ckexpand.kernel import terms_mul
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
@@ -458,14 +458,19 @@ def test_planted_scalar_arithmetic_prints_as_the_earlier_rules():
 
 
 def test_planted_monic_prints_as_the_earlier_rule():
+    # groebner._monic divides polynomial coefficients by the leading one,
+    # one Scalar(c, lc) each; the earlier monic multiplied by 1/lc
     rng = random.Random(20261019)
     for _ in range(200):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             exps = (rng.randint(0, 2), rng.randint(0, 2))
-            add_term(terms, exps, oracle_scalar(*_planted(rng)))
+            for side in _planted(rng):  # coefficients that share factors
+                add_term(terms, exps, Scalar(side))
         p = ParamPoly(UNKNOWNS, terms)
-        got, want = p.monic(), oracle_monic(p)
+        if p.is_zero:
+            continue
+        got, want = _monic(p), oracle_monic(p)
         assert got.terms.keys() == want.terms.keys()
         for exps, coeff in got.terms.items():
             assert _shape(coeff) == _shape(want.terms[exps])
@@ -521,22 +526,15 @@ def test_scalar_arithmetic_never_divides_by_or_into_one_term(monkeypatch):
 
 def test_monic_never_multiplies_the_leading_coefficient(monkeypatch):
     p = ParamPoly.from_scalar(
-        parse_scalar("(c1 + 1)/(c2)*a1^2 + c2*a1*a2 + 3*a2 - 1/(c1 - c2)"),
+        parse_scalar("(c1 + 1)*c2*a1^2 + c2*a1*a2 + 3*a2 - (c1 - c2)"),
         UNKNOWNS,
     )
-    _, lc = p.leading()
-    calls = []
-    mul = Scalar.__mul__
-
-    def counted_mul(x, y):
-        calls.append((x, y))
-        return mul(x, y)
-
-    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
-    monic = p.monic()
+    calls = count_calls(monkeypatch, Scalar, "__mul__")
+    monic = _monic(p)
     assert monic.leading()[1].is_one
-    assert len(calls) == len(p.terms) - 1
-    assert not [pair for pair in calls if lc is pair[0] or lc is pair[1]]
+    assert str(monic.terms[(0, 1)]) == "(3)/(c1*c2 + c2)"
+    # one Scalar(c, lc) per coefficient and no product at all
+    assert calls == []
 
 
 # -- the polynomial path: a denominator 1 is the shared ONE --------------------
@@ -891,6 +889,10 @@ def test_parse_rejects_garbage():
                 "P1 $ 2", "K1^w1", "(K1", "K1)"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+    # the character that cannot be read is named, with its position
+    with pytest.raises(ValueError, match=r"^bad character '\$' at position 4 "
+                       r"of expression 'P1 \$ 2'$"):
+        parse_scalar("P1 $ 2")
 
 
 def test_substitute():
