@@ -12,8 +12,9 @@ Buchberger's pair loop is fraction-free (Becker and Weispfenning,
 *Groebner Bases*, 1993): its elements keep polynomial coefficients, each
 with its content divided out, and only the reduced basis is divided by
 its leading coefficients, once, so that a fraction is formed only where
-it is printed.  Normal forms modulo that monic basis (``reduce_mod_ideal``)
-are taken over the parameter field.
+it is printed.  The printed raw equations (``normalized``) go through its
+content rule, ``_primitive``, too.  Normal forms modulo that monic basis
+(``reduce_mod_ideal``) are taken over the parameter field.
 """
 
 from __future__ import annotations
@@ -111,34 +112,14 @@ class ParamPoly(TermSum):
         return (self.scale(other.terms[key]) - other.scale(lc)).is_zero
 
     def normalized(self) -> "ParamPoly":
-        """Denominator-free form with content removed and positive lead.
-
-        Used for displaying raw constraint equations: clears parameter
-        denominators, strips common rational and monomial content from
-        the coefficient polynomials, and fixes the sign of the leading
-        coefficient.  Denominators are cleared one at a time, each by
-        scaling with a denominator the current result still has, so a
-        repeated one is cleared once.  A factor that two different
-        denominators share stays behind as a common factor of the
-        coefficients: removing it waits on a polynomial gcd (ROADMAP
-        direction 4).
-        """
+        """Denominator-free form with content removed and positive lead,
+        for printing raw constraint equations: the content rule of the
+        Buchberger loop (``_primitive``), then the sign fixed."""
         if self.is_zero:
             return self
-        result = self
-        dens = [c.den for c in self.terms.values() if not c.den.is_one]
-        while dens:
-            result = result.scale(Scalar(dens[0]))
-            dens = [c.den for c in result.terms.values() if not c.den.is_one]
-        common, content = _content([c.num for c in result.terms.values()])
-        if content != 1 or common:
-            result = result._like({
-                e: Scalar(_over_content(c.num, common, content))
-                for e, c in result.terms.items()})
+        result = _primitive(self)
         _, lc = result.leading()
-        if lc.num.leading()[1] < 0:
-            result = -result
-        return result
+        return -result if lc.num.leading()[1] < 0 else result
 
     def __str__(self):
         parts = []
@@ -168,7 +149,8 @@ def _reduce(p: ParamPoly, basis, fraction_free=False) -> ParamPoly:
     polynomial, and a step multiplies the work and the remainder by the
     element's leading coefficient instead of dividing by it, so the result
     is a polynomial multiple of the normal form and no fraction is formed;
-    p itself comes back when no step was taken.
+    p itself comes back when no step was taken.  Steps on an input that
+    has denominators are exact too: they multiply and never divide.
     """
     divisors = []
     reduced = False
@@ -229,17 +211,19 @@ def _over_content(n: Poly, common, content) -> Poly:
 
 
 def _primitive(p: ParamPoly) -> ParamPoly:
-    """p, whose coefficients are polynomials, divided by their content.
+    """p over polynomial coefficients, divided by their content.
 
-    A constant leading coefficient is divided out, which leaves p monic.
-    Otherwise the rational and the monomial content go, and then the
-    primitive part of the coefficient with the fewest terms when it
-    exactly divides every coefficient.  A polynomial content that test
-    misses stays: there is no polynomial gcd (ROADMAP direction 4).
+    Denominators are cleared one at a time, each by one p still has, so a
+    repeated one is cleared once.  Then the rational and the monomial
+    content go, and then the primitive part of the coefficient with the
+    fewest terms when it exactly divides every coefficient.  A polynomial
+    content that test misses, such as a factor two denominators share,
+    stays: there is no polynomial gcd (ROADMAP direction 4).
     """
-    _, lc = p.leading()
-    if lc.value is not None:
-        return p if lc.value == 1 else p.scale(lc.inverse())
+    dens = [c.den for c in p.terms.values() if not c.den.is_one]
+    while dens:
+        p = p.scale(Scalar(dens[0]))
+        dens = [c.den for c in p.terms.values() if not c.den.is_one]
     nums = [c.num for c in p.terms.values()]
     common, content = _content(nums)
     trivial = content == 1 and not common
@@ -298,12 +282,12 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     the smallest lcm goes first (ties by index).  ``generators`` keeps
     every nonzero input.
 
-    The loop is fraction-free.  An input with a denominator enters as its
-    ``normalized`` form, S-polynomials and reductions multiply by leading
+    The loop is fraction-free.  An input is reduced as given, with any
+    denominators it has, S-polynomials and reductions multiply by leading
     coefficients instead of dividing by them, and every new element loses
-    its content (``_primitive``).  The minimal basis is tail-reduced the
-    same way, and then each element is divided by its leading coefficient
-    once, one ``Scalar(c, lc)`` per coefficient.
+    its denominators and its content (``_primitive``).  The minimal basis
+    is tail-reduced the same way, and then each element is divided by its
+    leading coefficient once, one ``Scalar(c, lc)`` per coefficient.
     """
     unknowns = tuple(unknowns)
     if len(unknowns) > MAX_UNKNOWNS:
@@ -328,8 +312,6 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     for p in polys:
         # p and its remainder generate the same ideal together with the
         # basis so far, and a zero remainder adds nothing
-        if not all(c.den.is_one for c in p.terms.values()):
-            p = p.normalized()  # the loop takes polynomial coefficients
         if basis:
             p = _reduce(p, basis, True)
         if not p.is_zero:

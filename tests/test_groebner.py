@@ -1,7 +1,9 @@
 """Groebner bases of the constraint ideals in the expansion unknowns."""
 
+import ast
 import functools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -128,6 +130,15 @@ def test_normalized_clears_denominators_and_content():
     raw = pp("2*a1^2 + 1/2").scale(parse_scalar("1/(w2)"))
     assert str(raw.normalized()) == "4*a1^2 + 1"
     assert str(pp("-6*w1*a1 - 2*w1*a2").normalized()) == "3*a1 + a2"
+    # a polynomial content that the division test finds goes too
+    assert (str(pp("(c1 + c2)*a1 + (c1^2 - c2^2)*a2").normalized())
+            == "a1 + (c1 - c2)*a2")
+    assert (str(pp("(w1+1)*a1/c1 + (w1^2-1)*a2/c1^2").normalized())
+            == "c1*a1 + (w1 - 1)*a2")
+    # a factor that two denominators share needs a gcd, and stays
+    shared = pp("a1/((q+1)*(q+2)) + a2/((q+1)*(q+3))")
+    assert (str(shared.normalized())
+            == "(q^2 + 4*q + 3)*a1 + (q^2 + 3*q + 2)*a2")
 
 
 def test_normalized_clears_a_repeated_denominator_once():
@@ -301,7 +312,8 @@ def test_different_ideals_or_unknowns_are_not_equal():
 
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 INTEGERS = st.integers(-3, 3).filter(bool).map(str)
-PARAMETERS = st.sampled_from(["w1", "c1", "-w1", "2*c1", "w1*c1", "-3*w1^2"])
+PARAMETERS = st.sampled_from(["w1", "c1", "-w1", "2*c1", "w1*c1", "-3*w1^2",
+                              "1/2", "1/(w1 + 1)", "c1/(w1 - 2)"])
 
 
 def generator_text(terms):
@@ -390,6 +402,41 @@ def test_parametric_trinomial_system_is_the_unit_ideal():
     ideal = groebner_basis(gens, AB)
     assert [str(b) for b in ideal.groebner] == ["1"]
     assert_matches_sympy(ideal)
+
+
+# the benchmark's systems over the rationals, in three unknowns
+QQ_SYSTEMS = {
+    "katsura-2": ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x",
+                  "2*x*y + 2*y*z - y"],
+    "cyclic-3": ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"],
+}
+
+
+@pytest.mark.parametrize("name, want", [
+    ("katsura-2", ["x + 2*y + 2*z - 1",
+                   "y*z + (6/5)*z^2 - (1/10)*y - (2/5)*z",
+                   "y^2 - (3/5)*z^2 - (1/5)*y + (1/5)*z",
+                   "z^3 - (79/210)*z^2 + (1/30)*y + (1/70)*z"]),
+    ("cyclic-3", ["x + y + z", "y^2 + y*z + z^2", "z^3 - 1"]),
+])
+def test_three_unknown_systems_match_sympy(monkeypatch, name, want):
+    xyz = ("x", "y", "z")
+    leads = []
+    primitive = ckexpand.groebner._primitive
+
+    def recorded(p):
+        p = primitive(p)
+        leads.append(p.leading()[1])
+        return p
+
+    monkeypatch.setattr(ckexpand.groebner, "_primitive", recorded)
+    ideal = groebner_basis([ParamPoly.from_scalar(parse_scalar(t), xyz)
+                            for t in QQ_SYSTEMS[name]], xyz)
+    assert [str(b) for b in ideal.groebner] == want
+    assert_matches_sympy(ideal)
+    # elements whose constant leading coefficient is not one stay so in
+    # the loop; only the final division makes them monic
+    assert any(lc.value not in (None, 1) for lc in leads)
 
 
 def test_atlas_bases_match_sympy():
@@ -536,3 +583,42 @@ def test_inputs_are_coerced_to_param_polys_in_the_ideal_unknowns():
     other = ParamPoly.from_scalar(parse_scalar("a1 + w1"), ("a1",))
     with pytest.raises(ValueError, match="unknown lists differ"):
         reduce_mod_ideal(other, want)
+
+
+# -- one content rule ---------------------------------------------------------
+
+# each content helper of groebner.py and the one function that may use it
+CONTENT_RULE = {
+    "rational_content": "_content",
+    "monomial_content": "_content",
+    "_content": "_primitive",
+    "_over_content": "_primitive",
+}
+
+
+def _content_rule_uses(source):
+    """(enclosing definitions, name) for each use of a CONTENT_RULE name
+    in the module source."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CONTENT_RULE:
+            uses.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "groebner")
+    return uses
+
+
+def test_the_content_rule_is_used_only_through_primitive():
+    # normalized and the Buchberger loop share one content rule: a second
+    # copy of it would call these helpers outside their one caller
+    source = Path(ckexpand.groebner.__file__).read_text()
+    assert set(_content_rule_uses(source)) == {
+        (f"groebner.{caller}", name) for name, caller in CONTENT_RULE.items()
+    }
