@@ -13,8 +13,8 @@ Buchberger's pair loop is fraction-free (Becker and Weispfenning,
 with its content divided out, and only the reduced basis is divided by
 its leading coefficients, once, so that a fraction is formed only where
 it is printed.  The printed raw equations (``normalized``) go through its
-content rule, ``_primitive``, too.  Normal forms modulo that monic basis
-(``reduce_mod_ideal``) are taken over the parameter field.
+content rule, ``_primitive``, too.  Reduction (``_reduce``) never divides,
+so normal forms (``reduce_mod_ideal``) are taken modulo a monic basis.
 """
 
 from __future__ import annotations
@@ -138,19 +138,18 @@ class ParamPoly(TermSum):
         return f"ParamPoly({self})"
 
 
-def _reduce(p: ParamPoly, basis, fraction_free=False) -> ParamPoly:
-    """Full normal form of p against a list of ParamPolys.
+def _reduce(p: ParamPoly, basis) -> ParamPoly:
+    """A polynomial multiple of the full normal form of p against a list
+    of ParamPolys; the normal form itself when the basis is monic.
 
     Works on one mutable term dict keyed by (total degree, exponents), so
     the leading term is the largest key.  Each step cancels it with the
     first basis element whose leading monomial divides it (tails are read
-    once per call; a leading coefficient one is not divided by) or moves
-    it into the remainder.  With ``fraction_free`` every coefficient is a
-    polynomial, and a step multiplies the work and the remainder by the
-    element's leading coefficient instead of dividing by it, so the result
-    is a polynomial multiple of the normal form and no fraction is formed;
-    p itself comes back when no step was taken.  Steps on an input that
-    has denominators are exact too: they multiply and never divide.
+    once per call) or moves it into the remainder.  A divisor whose
+    leading coefficient is one only cancels; any other multiplies the work
+    and the remainder by its leading coefficient.  No step divides, so no
+    fraction is formed, and an input with denominators is reduced exactly;
+    p itself comes back when no step was taken.
     """
     divisors = []
     reduced = False
@@ -170,19 +169,15 @@ def _reduce(p: ParamPoly, basis, fraction_free=False) -> ParamPoly:
             remainder[exps] = coeff
             continue
         reduced = True
-        if monic or not fraction_free:
-            neg = -coeff if monic else -(coeff / blc)
-        else:
+        if not monic:
             work = {k: c * blc for k, c in work.items()}
             remainder = {e: c * blc for e, c in remainder.items()}
-            neg = -coeff
+        neg = -coeff
         shift = tuple(map(sub, exps, bkey))
         deg -= bdeg
         for tdeg, texps, c in tail:
             add_term(work, (tdeg + deg, tuple(map(add, texps, shift))), neg * c)
-    if fraction_free and not reduced:
-        return p
-    return ParamPoly(p.unknowns, remainder)
+    return ParamPoly(p.unknowns, remainder) if reduced else p
 
 
 def _spoly(f: ParamPoly, g: ParamPoly, fk, gk, lcm) -> ParamPoly:
@@ -215,10 +210,12 @@ def _primitive(p: ParamPoly) -> ParamPoly:
 
     Denominators are cleared one at a time, each by one p still has, so a
     repeated one is cleared once.  Then the rational and the monomial
-    content go, and then the primitive part of the coefficient with the
-    fewest terms when it exactly divides every coefficient.  A polynomial
-    content that test misses, such as a factor two denominators share,
-    stays: there is no polynomial gcd (ROADMAP direction 4).
+    content go, and then the primitive part of the first coefficient with
+    the fewest terms that exactly divides every coefficient; any two such
+    parts are equal up to sign, so the order of the terms does not
+    matter.  A polynomial content that test misses, such as a factor two
+    denominators share, stays: there is no polynomial gcd (ROADMAP
+    direction 4).
     """
     dens = [c.den for c in p.terms.values() if not c.den.is_one]
     while dens:
@@ -229,11 +226,10 @@ def _primitive(p: ParamPoly) -> ParamPoly:
     trivial = content == 1 and not common
     if not trivial:
         nums = [_over_content(n, common, content) for n in nums]
-    small = min(nums, key=lambda n: len(n.terms))
-    if len(small.terms) < 2:
-        if trivial:
-            return p
-    else:
+    fewest = min(len(n.terms) for n in nums)
+    if fewest < 2 and trivial:
+        return p
+    for small in [n for n in nums if len(n.terms) == fewest > 1]:
         # small is its content times divisor, so its quotient is known
         common, content = _content([small])
         divisor = _over_content(small, common, content)
@@ -245,6 +241,7 @@ def _primitive(p: ParamPoly) -> ParamPoly:
             quotients.append(q)
         else:
             nums = quotients
+            break
     return p._like({e: Scalar(n) for e, n in zip(p.terms, nums)})
 
 
@@ -313,13 +310,13 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         # p and its remainder generate the same ideal together with the
         # basis so far, and a zero remainder adds nothing
         if basis:
-            p = _reduce(p, basis, True)
+            p = _reduce(p, basis)
         if not p.is_zero:
             add(p)
     while heap:
         (_, lcm), i, j = heapq.heappop(heap)
         s = _spoly(basis[i], basis[j], leads[i], leads[j], lcm)
-        s = _reduce(s, basis, True)
+        s = _reduce(s, basis)
         if not s.is_zero:
             add(s)
     # minimal basis: drop every element whose leading monomial another
@@ -337,14 +334,18 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     # so one pass and one division by each leading coefficient give the
     # unique reduced basis
     for i, b in enumerate(basis):
-        r = _reduce(b, basis[:i] + basis[i + 1 :], True)
+        r = _reduce(b, basis[:i] + basis[i + 1 :])
         basis[i] = r if r is b else _primitive(r)
     basis = sorted(map(_monic, basis), key=lambda b: grlex_key(b.leading()[0]))
     return RelationIdeal(unknowns=unknowns, generators=polys, groebner=basis)
 
 
 def reduce_mod_ideal(p, ideal: RelationIdeal) -> ParamPoly:
-    """Normal form of p against the ideal's Groebner basis."""
+    """Normal form of p against the ideal's Groebner basis, which must be
+    monic, as ``groebner_basis`` makes it: ``_reduce`` never divides."""
+    for b in ideal.groebner:
+        if not b.leading()[1].is_one:
+            raise ValueError(f"basis element {b} is not monic")
     return _reduce(ParamPoly.coerce(p, ideal.unknowns), ideal.groebner)
 
 

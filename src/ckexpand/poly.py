@@ -35,10 +35,11 @@ denominator when one divides the other, and a product first cancels each
 numerator against the other denominator where one divides the other.
 ``_either_div`` tests both directions of such a pair at once: one frame,
 one set of ``_graded`` keys and exponent ranges, then a range-checked
-long division with no monomial fast path.  It is tried only when both
-polynomials have two or more terms: once the monomial content is out, a
-one-term side divides nothing or is a constant, which the rational
-content takes out.  Every real denominator has content 1 and a positive
+long division with no monomial fast path.  ``exact_div`` runs the same
+test and reads a reverse quotient as none.  Scalar arithmetic tries it
+only when both polynomials have two or more terms: once the monomial
+content is out, a one-term side divides nothing or is a constant, which
+the rational content takes out.  Every real denominator has content 1 and a positive
 leading coefficient, and by Gauss's lemma so has a product of them, also
 with a shared monomial divided out; so a sum or product whose
 denominator no division replaced skips that content and sign pass
@@ -429,9 +430,9 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
                  for qkey, qc in quot})
 
 
-def _either_div(a: Poly, b: Poly, both=True):
-    """(a/b, False) when b divides a, else (b/a, True) when both is set and
-    a divides b, else (None, False); a and b are nonzero.
+def _either_div(a: Poly, b: Poly):
+    """(a/b, False) when b divides a, else (b/a, True) when a divides b,
+    else (None, False); a and b are nonzero.
 
     Both directions share one frame, the union of the two variable sets,
     and one set of ``_graded`` keys and exponent ranges.  The lowest and
@@ -448,7 +449,7 @@ def _either_div(a: Poly, b: Poly, both=True):
         keys = [_graded(m, index) for m in p.terms]
         sides.append((keys, p.terms.values(),
                       list(map(min, zip(*keys))), list(map(max, zip(*keys)))))
-    for flipped in (False, True) if both else (False,):
+    for flipped in (False, True):
         (nkeys, ncoeffs, nlo, nhi), (dkeys, dcoeffs, dlo, dhi) = (
             sides[::-1] if flipped else sides
         )
@@ -464,14 +465,16 @@ def _either_div(a: Poly, b: Poly, both=True):
 def exact_div(a: Poly, b: Poly):
     """Exact quotient a/b as a Poly, or None when b does not divide a.
 
-    One direction of ``_either_div``.  There is no monomial fast path: a
-    monomial divisor just leaves no tail.
+    The one test of ``_either_div``: when only the reverse direction
+    divides, its quotient b/a is not a/b, and the answer is None.  There
+    is no monomial fast path: a monomial divisor just leaves no tail.
     """
     if b.is_zero:
         raise ScalarDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    return _either_div(a, b, False)[0]
+    q, flipped = _either_div(a, b)
+    return None if flipped else q
 
 
 def _cancel(num: Poly, den: Poly):

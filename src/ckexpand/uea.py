@@ -283,29 +283,23 @@ class _Span:
     """Exact row-echelon span of UEA term vectors with combination tracking.
 
     Every row's key is its largest term under ``grlex_key``, and no two rows
-    share one; rows are otherwise left unreduced.  That is enough for
-    ``reduce`` to return the unique normal form modulo the span.
+    share one.  ``reduce`` is the one elimination loop, and ``add`` keeps
+    what it leaves of a new row, so a row holds no key of an earlier row.
+    That is enough for ``reduce`` to return the unique normal form modulo
+    the span.
     """
 
     def __init__(self):
         self.rows: dict = {}  # leading exps -> (terms, rep)
 
-    def _eliminate(self, terms, full):
-        """Subtract multiples of rows from a copy of ``terms``: with ``full``
-        until no term is a row key, otherwise until the leading term is not
-        one.  Returns the residual and the tag combination subtracted."""
+    def reduce(self, terms):
+        """Subtract multiples of rows from a copy of ``terms`` until no term
+        is a row key, the largest first.  Returns the residual and the tag
+        combination subtracted."""
         terms = dict(terms)
         combo: dict = {}
-        while terms:
-            if full:
-                hits = [m for m in terms if m in self.rows]
-                if not hits:
-                    break
-                m = max(hits, key=grlex_key)
-            else:
-                m = max(terms, key=grlex_key)
-                if m not in self.rows:
-                    break
+        while hits := [m for m in terms if m in self.rows]:
+            m = max(hits, key=grlex_key)
             row_terms, rep = self.rows[m]
             factor = terms[m] / row_terms[m]
             neg = -factor
@@ -315,13 +309,10 @@ class _Span:
                 add_term(combo, tag, factor * c)
         return terms, combo
 
-    def reduce(self, terms):
-        return self._eliminate(terms, True)
-
     def add(self, terms, rep):
         """Add ``terms``, which equal the tag combination ``rep`` (a dict
         {tag: Scalar}), unless the span already holds them."""
-        residual, combo = self._eliminate(terms, False)
+        residual, combo = self.reduce(terms)
         if not residual:
             return
         rep = dict(rep)

@@ -12,6 +12,7 @@ from ckexpand.expand import (
     InconsistentSystemError,
     analyze_closure,
     build_J,
+    BracketVerdict,
     CasimirSplit,
     ClosureReport,
     ExpansionProblem,
@@ -37,7 +38,9 @@ from ckexpand.liealg import (
     make_ck_algebra,
 )
 from ckexpand.poly import Rational, parse_scalar
-from ckexpand.uea import UEAElement, casimir, parse_element, uea_commutator
+from ckexpand.uea import (
+    UEAElement, casimir, parse_element, uea_commutator, uea_mul,
+)
 
 from oracles import (
     count_calls, grid_edges, oracle_reconstruct, oracle_span_reducer,
@@ -498,14 +501,20 @@ def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
     # as well took 18 more reductions (122)
     import ckexpand.expand
     import ckexpand.groebner
+    import ckexpand.poly
 
     spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
     normal_forms = count_calls(monkeypatch, ckexpand.expand, "reduce_mod_ideal")
+    divisions = [count_calls(monkeypatch, module, name) for module, name in (
+        (ckexpand.poly, "_either_div"), (ckexpand.poly, "_long_div"),
+        (ckexpand.groebner, "exact_div"))]
     run_atlas()
     assert (len(spolys), len(reductions)) == (24, 104)
     # one reduce_mod_ideal per distinct remainder coefficient (42 before)
     assert len(normal_forms) == 24
+    # every exact_div divides, so no division is tried in reverse
+    assert [len(calls) for calls in divisions] == [24, 24, 16]
 
 
 def test_atlas_central_reduction_work(monkeypatch):
@@ -516,16 +525,25 @@ def test_atlas_central_reduction_work(monkeypatch):
     import ckexpand.uea
 
     spans = []
+    steps = []
     init = ckexpand.uea._Span.__init__
+
+    class Rows(dict):
+        # the elimination loop reads one row by subscript per step
+        def __getitem__(self, key):
+            steps.append(1)
+            return dict.__getitem__(self, key)
 
     def recorded(span):
         init(span)
+        span.rows = Rows()
         spans.append(span)
 
     monkeypatch.setattr(ckexpand.uea._Span, "__init__", recorded)
     products = count_calls(monkeypatch, ckexpand.uea, "uea_mul")
     run_atlas()
     assert (sum(len(span.rows) for span in spans), len(products)) == (146, 120)
+    assert len(steps) == 100
 
 
 def test_to_json_prints_each_equation_once(monkeypatch):
@@ -610,6 +628,31 @@ def test_shortcut_classes_are_exact_on_every_passing_arrow():
                     report.problem.name,
                     verdict.pair,
                 )
+
+
+def test_a_shortcut_class_that_needs_the_ideal_fails():
+    # when the hypotheses hold, a kk pair that is not exact fails even if
+    # its remainder lies in the ideal: [H,P1]'s does
+    problem = make_problem("poincare", 1)
+    report = run_expansion(problem)
+    assert report.hypothesis.holds and report.remainders[(3, 4)] is None
+    remainders = dict(report.remainders)
+    remainders[(3, 4)] = remainders[(0, 1)]
+    verdicts, ok = verify_expansion(
+        problem, report.hypothesis, report.constraints, remainders)
+    bad = [v for v in verdicts if not v.ok]
+    assert not ok and bad == [BracketVerdict(
+        "[K1,K2]", "kk", "reduced", False,
+        "expected exact equality for class kk")]
+
+
+def test_a_primed_set_that_does_not_close():
+    g = builtin_algebra("so4")
+    primed = gens(g)
+    primed["H"] = uea_mul(primed["H"], primed["P1"])
+    closure = analyze_closure(g, primed)
+    assert not closure.closes and closure.matches_cell is None
+    assert "not in the primed span" in closure.table.values()
 
 
 def test_negative_control_closes_but_is_no_ck_cell():

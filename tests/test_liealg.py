@@ -294,6 +294,9 @@ def test_contraction_names_follow_the_brackets():
     assert contract(so22_file, "space-time").name == "iso(2,1)"
     ext = contract(make_extended_galilei(), "space-time")
     assert ext.name == "ext-galilei->space-time"
+    # an algebra outside the family keeps the NAME->kind name
+    heis = LieAlgebra("heis", ("X", "Y", "Z"), {(0, 1): {2: as_scalar(1)}})
+    assert contract(heis, "speed-space").name == "heis->speed-space"
 
 
 def test_json_roundtrip():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from oracles import (
     count_calls,
     oracle_inverse,
@@ -358,9 +359,9 @@ def test_inverse_swaps_the_pair_without_dividing(s):
     calls = []
     div = ckexpand.poly._either_div
 
-    def counted_div(a, b, *both):
+    def counted_div(a, b):
         calls.append(1)
-        return div(a, b, *both)
+        return div(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ckexpand.poly, "_either_div", counted_div)
@@ -508,16 +509,25 @@ def test_scalar_arithmetic_never_divides_by_or_into_one_term(monkeypatch):
     import ckexpand.poly
 
     sizes = []
-    div = ckexpand.poly._either_div
+    inside_exact_div = []
+    div, exact = ckexpand.poly._either_div, oracles.exact_div
 
-    # Scalar arithmetic tries both directions; the one-way calls come from
-    # exact_div, which the oracles run between the operations
-    def counted_div(a, b, both=True):
-        if both:
+    # the calls that are not Scalar arithmetic come from exact_div, which
+    # the oracles run between the operations
+    def counted_div(a, b):
+        if not inside_exact_div:
             sizes.append((len(a.terms), len(b.terms)))
-        return div(a, b, both)
+        return div(a, b)
+
+    def marked_exact_div(a, b):
+        inside_exact_div.append(1)
+        try:
+            return exact(a, b)
+        finally:
+            inside_exact_div.pop()
 
     monkeypatch.setattr(ckexpand.poly, "_either_div", counted_div)
+    monkeypatch.setattr(oracles, "exact_div", marked_exact_div)
     for _, new, _ in _planted_operations(20261019, 500):
         new()
     assert sizes, "no division was tried at all"
@@ -761,9 +771,9 @@ def test_negation_keeps_the_normal_form_without_dividing(s):
     calls = []
     div = ckexpand.poly._either_div
 
-    def counted_div(a, b, *both):
+    def counted_div(a, b):
         calls.append(1)
-        return div(a, b, *both)
+        return div(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ckexpand.poly, "_either_div", counted_div)
@@ -872,6 +882,8 @@ def test_zero_denominator_rejected():
         # a negative exponent is a quotient
         ("w1^-1", Scalar(ONE, Poly.symbol("w1"))),
         ("2*w1^-2", Scalar(Poly.const(2), Poly.symbol("w1") ** 2)),
+        # trailing blanks end the expression
+        ("c1 + 1 ", Scalar(Poly.symbol("c1") + ONE)),
     ],
 )
 def test_parse_scalar_examples(text, expected):
