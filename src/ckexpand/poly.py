@@ -33,17 +33,15 @@ polynomials multiply only numerators and share its denominator.
 To keep shared factors from swelling, a sum goes over the larger
 denominator when one divides the other, and a product first cancels each
 numerator against the other denominator where one divides the other.
-``_either_div`` tests both directions of such a pair at once: one frame,
-one set of ``_graded`` keys and exponent ranges, then a range-checked
-long division with no monomial fast path.  ``exact_div`` runs the same
-test and reads a reverse quotient as none.  Scalar arithmetic tries it
-only when both polynomials have two or more terms: once the monomial
-content is out, a one-term side divides nothing or is a constant, which
-the rational content takes out.  Every real denominator has content 1 and a positive
-leading coefficient, and by Gauss's lemma so has a product of them, also
-with a shared monomial divided out; so a sum or product whose
-denominator no division replaced skips that content and sign pass
-(``_over``).
+``exact_div`` is the one polynomial long division, and the one test of
+whether one side divides the other; a pair that needs both directions
+calls it twice.  Scalar arithmetic tries it only when both polynomials
+have two or more terms: once the monomial content is out, a one-term side
+divides nothing or is a constant, which the rational content takes out.
+Every real denominator has content 1 and a positive leading coefficient,
+and by Gauss's lemma so has a product of them, also with a shared
+monomial divided out; so a sum or product whose denominator no division
+replaced skips that content and sign pass (``_over``).
 
 The rest of the engine keeps sparse sums with ``Scalar`` coefficients in
 plain dicts: enveloping-algebra elements and span rows keyed by exponent
@@ -63,7 +61,7 @@ from __future__ import annotations
 import re
 from functools import total_ordering
 from math import gcd, lcm
-from operator import add, gt, sub
+from operator import add, sub
 
 from .kernel import terms_add, terms_mul, terms_neg, terms_scale
 
@@ -397,13 +395,27 @@ def _mono_div(mono, content):
     return tuple(out)
 
 
-def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
-    """The quotient a/b of the long division on ``_graded`` keys, or None
-    when a quotient term leaves the exponent ranges lo..hi or a remainder
-    stays.  Quotient terms are kept as keys and become monomials only once
-    the division succeeds."""
-    rem = dict(zip(akeys, acoeffs))
-    divisor = sorted(zip(bkeys, bcoeffs), reverse=True)
+def exact_div(a: Poly, b: Poly):
+    """Exact quotient a/b as a Poly, or None when b does not divide a.
+
+    The one polynomial long division.  Both polynomials are keyed by
+    ``_graded`` in one frame, the union of their variables, and each step
+    divides the largest remaining term by the leading term of b.  A
+    quotient key with a negative entry means that b does not divide a, and
+    it is also what ends the loop: the largest remainder key only goes
+    down, and no key goes negative.  Quotient terms are kept as keys and
+    become monomials only once the division succeeds.  There is no
+    monomial fast path: a monomial divisor just leaves no tail.
+    """
+    if b.is_zero:
+        raise ScalarDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return ZERO
+    frame = sorted({s for p in (a, b) for m in p.terms for s, _ in m})
+    index = {s: i for i, s in enumerate(frame, 1)}
+    rem = {_graded(m, index): c for m, c in a.terms.items()}
+    divisor = sorted([(_graded(m, index), c) for m, c in b.terms.items()],
+                     reverse=True)
     bkey, bc = divisor[0]
     tail = divisor[1:]
     exact = type(bc) is int
@@ -412,7 +424,7 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
         key = max(rem)
         c = rem.pop(key)
         qkey = tuple(map(sub, key, bkey))
-        if any(map(gt, lo, qkey)) or any(map(gt, qkey, hi)):
+        if min(qkey) < 0:
             return None
         if exact and type(c) is int and not c % bc:
             qc = c // bc
@@ -430,55 +442,9 @@ def _long_div(akeys, acoeffs, bkeys, bcoeffs, lo, hi, frame):
                  for qkey, qc in quot})
 
 
-def _either_div(a: Poly, b: Poly):
-    """(a/b, False) when b divides a, else (b/a, True) when a divides b,
-    else (None, False); a and b are nonzero.
-
-    Both directions share one frame, the union of the two variable sets,
-    and one set of ``_graded`` keys and exponent ranges.  The lowest and
-    the highest exponent of each symbol, and the lowest and the highest
-    total degree, add under multiplication, so a divisor whose ranges do
-    not fit inside the dividend's is refused before any division; a
-    symbol that only the divisor has is such a range.  The long division
-    keeps each quotient term inside the ranges left for the quotient.
-    """
-    frame = sorted({s for p in (a, b) for m in p.terms for s, _ in m})
-    index = {s: i for i, s in enumerate(frame, 1)}
-    sides = []
-    for p in (a, b):
-        keys = [_graded(m, index) for m in p.terms]
-        sides.append((keys, p.terms.values(),
-                      list(map(min, zip(*keys))), list(map(max, zip(*keys)))))
-    for flipped in (False, True):
-        (nkeys, ncoeffs, nlo, nhi), (dkeys, dcoeffs, dlo, dhi) = (
-            sides[::-1] if flipped else sides
-        )
-        lo, hi = list(map(sub, nlo, dlo)), list(map(sub, nhi, dhi))
-        if min(lo) < 0 or any(map(gt, lo, hi)):
-            continue
-        q = _long_div(nkeys, ncoeffs, dkeys, dcoeffs, lo, hi, frame)
-        if q is not None:
-            return q, flipped
-    return None, False
-
-
-def exact_div(a: Poly, b: Poly):
-    """Exact quotient a/b as a Poly, or None when b does not divide a.
-
-    The one test of ``_either_div``: when only the reverse direction
-    divides, its quotient b/a is not a/b, and the answer is None.  There
-    is no monomial fast path: a monomial divisor just leaves no tail.
-    """
-    if b.is_zero:
-        raise ScalarDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ZERO
-    q, flipped = _either_div(a, b)
-    return None if flipped else q
-
-
 def _cancel(num: Poly, den: Poly):
-    """(num, den) with whichever side exactly divides the other divided out.
+    """(num, den) with whichever side exactly divides the other divided
+    out: num by den first, then den by num.
 
     Only a pair of two polynomials of two or more terms is tried: the
     callers have removed the common monomial content (or leave it to
@@ -487,10 +453,13 @@ def _cancel(num: Poly, den: Poly):
     """
     if len(num.terms) < 2 or len(den.terms) < 2:
         return num, den
-    q, flipped = _either_div(num, den)
-    if q is None:
-        return num, den
-    return (ONE, q) if flipped else (q, ONE)
+    q = exact_div(num, den)
+    if q is not None:
+        return q, ONE
+    q = exact_div(den, num)
+    if q is not None:
+        return ONE, q
+    return num, den
 
 
 def _value(terms):
@@ -629,11 +598,12 @@ class Scalar:
         # one-term denominator is a monomial that _over takes out of the
         # cross product again
         if len(ad.terms) > 1 and len(bd.terms) > 1:
-            q, flipped = _either_div(bd, ad)
-            if q is not None and flipped:
-                return _over(a + b * q, ad)
+            q = exact_div(bd, ad)
             if q is not None:
                 return _over(a * q + b, bd)
+            q = exact_div(ad, bd)
+            if q is not None:
+                return _over(a + b * q, ad)
         return _over(a * bd + b * ad, ad * bd)
 
     def __add__(self, other):

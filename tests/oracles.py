@@ -1,12 +1,14 @@
-"""Independent reference implementations, and a call counter, used by
-several test modules."""
+"""Independent reference implementations, a call counter and a name-use
+scan of the sources, used by several test modules."""
 
 import argparse
+import ast
 import heapq
 import itertools
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from ckexpand.cli import (
     cmd_algebra,
@@ -36,6 +38,25 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def name_uses(path, names):
+    """(enclosing definitions, name) for each use of one of names in the
+    module at path; the definitions start with the module's name."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            uses.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(Path(path).read_text()), Path(path).stem)
+    return uses
 
 
 def same_brackets(g, h) -> bool:

@@ -506,15 +506,26 @@ def test_atlas_reduces_each_constraint_polynomial_once(monkeypatch):
     spolys = count_calls(monkeypatch, ckexpand.groebner, "_spoly")
     reductions = count_calls(monkeypatch, ckexpand.groebner, "_reduce")
     normal_forms = count_calls(monkeypatch, ckexpand.expand, "reduce_mod_ideal")
-    divisions = [count_calls(monkeypatch, module, name) for module, name in (
-        (ckexpand.poly, "_either_div"), (ckexpand.poly, "_long_div"),
-        (ckexpand.groebner, "exact_div"))]
+
+    def quotients(module):
+        div, out = module.exact_div, []
+
+        def recorded(a, b):
+            out.append(div(a, b))
+            return out[-1]
+
+        monkeypatch.setattr(module, "exact_div", recorded)
+        return out
+
+    divisions = [quotients(m) for m in (ckexpand.poly, ckexpand.groebner)]
     run_atlas()
     assert (len(spolys), len(reductions)) == (24, 104)
     # one reduce_mod_ideal per distinct remainder coefficient (42 before)
     assert len(normal_forms) == 24
-    # every exact_div divides, so no division is tried in reverse
-    assert [len(calls) for calls in divisions] == [24, 24, 16]
+    # Scalar arithmetic, then _primitive: every exact_div divides, so no
+    # division is tried in reverse
+    assert [len(calls) for calls in divisions] == [8, 16]
+    assert all(q is not None for calls in divisions for q in calls)
 
 
 def test_atlas_central_reduction_work(monkeypatch):

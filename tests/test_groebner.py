@@ -1,16 +1,15 @@
 """Groebner bases of the constraint ideals in the expansion unknowns."""
 
-import ast
 import functools
 import random
-from pathlib import Path
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    count_calls, oracle_groebner_basis, oracle_proportional, oracle_reduce,
-    to_sympy,
+    count_calls, name_uses, oracle_groebner_basis, oracle_proportional,
+    oracle_reduce, to_sympy,
 )
 
 import ckexpand.groebner
@@ -520,10 +519,9 @@ def atlas_ideals():
 @st.composite
 def reductions(draw):
     """(p, ideal, member): the groebner_basis of a systems() draw or of an
-    atlas arrow's raw constraints, its elements sometimes scaled so that
-    their leading coefficients are not one, and a ParamPoly of degree <= 3
-    that is a combination of the generators (member True), a random one,
-    or the sum of the two (member None: either)."""
+    atlas arrow's raw constraints, and a ParamPoly of degree <= 3 that is
+    a combination of the generators (member True), a random one, or the
+    sum of the two (member None: either)."""
     if draw(st.booleans()):
         ideal = groebner_basis([pp(t) for t in draw(systems())], AB)
     else:
@@ -531,10 +529,6 @@ def reductions(draw):
 
     def coefficient():
         return parse_scalar(draw(st.sampled_from(COEFFICIENTS)))
-
-    if draw(st.booleans()):
-        ideal = ideal._replace(
-            groebner=tuple(b.scale(coefficient()) for b in ideal.groebner))
 
     member = ParamPoly(AB)
     for g in ideal.generators:
@@ -563,11 +557,6 @@ def coefficient_terms(p: ParamPoly):
 @given(reductions())
 def test_normal_forms_match_the_earlier_reduction_and_sympy(case):
     p, ideal, member = case
-    if not all(b.leading()[1].is_one for b in ideal.groebner):
-        # _reduce never divides, so a basis that is not monic is refused
-        with pytest.raises(ValueError, match="is not monic"):
-            reduce_mod_ideal(p, ideal)
-        return
     got = reduce_mod_ideal(p, ideal)
     want = oracle_reduce(p, ideal.groebner)
     assert coefficient_terms(got) == coefficient_terms(want)
@@ -586,6 +575,19 @@ def test_normal_forms_match_the_earlier_reduction_and_sympy(case):
     _, remainder = sympy.reduced(f, basis, *syms, order="grlex",
                                  domain=domain)
     assert sympy.cancel(remainder - param_poly_to_sympy(got)) == 0
+
+
+def test_a_basis_that_is_not_monic_is_refused():
+    # _reduce never divides, so reduce_mod_ideal takes only the monic basis
+    # that groebner_basis makes
+    ideal = next(i for i in atlas_ideals() if i.groebner)
+    member = ideal.generators[0]
+    for text in ("c1", "2"):
+        basis = tuple(b.scale(parse_scalar(text)) for b in ideal.groebner)
+        message = f"basis element {re.escape(str(basis[0]))} is not monic"
+        with pytest.raises(ValueError, match=message):
+            reduce_mod_ideal(member, ideal._replace(groebner=basis))
+    assert reduce_mod_ideal(member, ideal).is_zero
 
 
 def test_inputs_are_coerced_to_param_polys_in_the_ideal_unknowns():
@@ -610,29 +612,9 @@ CONTENT_RULE = {
 }
 
 
-def _content_rule_uses(source):
-    """(enclosing definitions, name) for each use of a CONTENT_RULE name
-    in the module source."""
-    uses = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            where = f"{where}.{node.name}"
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name in CONTENT_RULE:
-            uses.append((where, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "groebner")
-    return uses
-
-
 def test_the_content_rule_is_used_only_through_primitive():
     # normalized and the Buchberger loop share one content rule: a second
     # copy of it would call these helpers outside their one caller
-    source = Path(ckexpand.groebner.__file__).read_text()
-    assert set(_content_rule_uses(source)) == {
+    assert set(name_uses(ckexpand.groebner.__file__, CONTENT_RULE)) == {
         (f"groebner.{caller}", name) for name, caller in CONTENT_RULE.items()
     }

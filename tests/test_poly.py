@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import oracles
 from oracles import (
     count_calls,
+    name_uses,
     oracle_inverse,
     oracle_monic,
     oracle_mul,
@@ -33,7 +33,6 @@ from ckexpand.poly import (
     Scalar,
     ScalarDivisionError,
     _coeff,
-    _either_div,
     add_term,
     as_scalar,
     exact_div,
@@ -254,7 +253,7 @@ def test_constant_arithmetic_never_reaches_the_polynomials():
 
     half, three = parse_scalar("1/2"), Scalar.const(3)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("terms_add", "terms_mul", "_either_div"):
+        for name in ("terms_add", "terms_mul", "exact_div"):
             mp.setattr(ckexpand.poly, name, refused)
         results = [half + three, half - three, half * three, three / half,
                    half + half, half - half]
@@ -304,6 +303,17 @@ def test_product_cancels_a_numerator_by_a_dividing_denominator(e, b, c, d):
         assert exact_div(x.den, product.den) is not None
 
 
+def _poly(text):
+    return parse_scalar(text).num
+
+
+# a refusal of each kind: a symbol only the divisor has, a divisor of
+# higher degree, a divisor whose lowest exponent of x is the larger, and a
+# remainder that shows only at the last step
+@example(_poly("x^2 + 1"), _poly("x + y"), Poly(), "any")
+@example(_poly("x + 1"), _poly("x^2 + 1"), Poly(), "any")
+@example(_poly("x^2 + 1"), _poly("x^2 + x"), Poly(), "any")
+@example(_poly("x^10 + 1"), _poly("x + 1"), Poly(), "any")
 @settings(deadline=None, max_examples=50)
 @given(polys, nonzero_polys, polys, st.sampled_from(["any", "exact", "near"]))
 def test_exact_division_refuses_exactly_what_sympy_leaves_a_remainder_of(
@@ -340,16 +350,11 @@ def test_two_way_division_matches_sympy_in_both_directions(f, g, h, kind):
         )
         return quotient if remainder == 0 else None
 
-    want = divided(a, b), divided(b, a)
-    got, flipped = _either_div(a, b)
-    if want[0] is not None:
-        assert not flipped
-        assert sympy.expand(to_sympy(Scalar(got)) - want[0]) == 0
-    elif want[1] is not None:
-        assert flipped
-        assert sympy.expand(to_sympy(Scalar(got)) - want[1]) == 0
-    else:
-        assert (got, flipped) == (None, False)
+    for n, d in ((a, b), (b, a)):
+        want, got = divided(n, d), exact_div(n, d)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert sympy.expand(to_sympy(Scalar(got)) - want) == 0
 
 
 @given(scalars.filter(lambda s: not s.is_zero))
@@ -357,17 +362,37 @@ def test_inverse_swaps_the_pair_without_dividing(s):
     import ckexpand.poly
 
     calls = []
-    div = ckexpand.poly._either_div
+    div = ckexpand.poly.exact_div
 
     def counted_div(a, b):
         calls.append(1)
         return div(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckexpand.poly, "_either_div", counted_div)
+        mp.setattr(ckexpand.poly, "exact_div", counted_div)
         inverse = s.inverse()
     assert _shape(inverse) == _shape(Scalar(s.den, s.num))
     assert len(calls) == 0
+
+
+# -- one polynomial division -------------------------------------------------
+
+# the graded keys and the long division, and the definitions that may use
+# each: a second division would need keys of its own
+DIVISION_USERS = {
+    "_graded": {"poly.Poly.leading", "poly.Poly._sorted_terms",
+                "poly.exact_div"},
+    "exact_div": {"poly._cancel", "poly.Scalar._sum", "groebner._primitive"},
+}
+
+
+def test_exact_div_is_the_one_polynomial_division():
+    import ckexpand.poly
+
+    uses = {use for path in Path(ckexpand.poly.__file__).parent.glob("*.py")
+            for use in name_uses(path, DIVISION_USERS)}
+    assert uses == {(user, name) for name, users in DIVISION_USERS.items()
+                    for user in users}
 
 
 # -- printed forms against the earlier cancellation rules -------------------
@@ -509,25 +534,15 @@ def test_scalar_arithmetic_never_divides_by_or_into_one_term(monkeypatch):
     import ckexpand.poly
 
     sizes = []
-    inside_exact_div = []
-    div, exact = ckexpand.poly._either_div, oracles.exact_div
+    div = ckexpand.poly.exact_div
 
-    # the calls that are not Scalar arithmetic come from exact_div, which
-    # the oracles run between the operations
+    # the oracles hold exact_div by their own name, so only Scalar
+    # arithmetic reaches this one
     def counted_div(a, b):
-        if not inside_exact_div:
-            sizes.append((len(a.terms), len(b.terms)))
+        sizes.append((len(a.terms), len(b.terms)))
         return div(a, b)
 
-    def marked_exact_div(a, b):
-        inside_exact_div.append(1)
-        try:
-            return exact(a, b)
-        finally:
-            inside_exact_div.pop()
-
-    monkeypatch.setattr(ckexpand.poly, "_either_div", counted_div)
-    monkeypatch.setattr(oracles, "exact_div", marked_exact_div)
+    monkeypatch.setattr(ckexpand.poly, "exact_div", counted_div)
     for _, new, _ in _planted_operations(20261019, 500):
         new()
     assert sizes, "no division was tried at all"
@@ -769,14 +784,14 @@ def test_negation_keeps_the_normal_form_without_dividing(s):
 
     want = Scalar(-s.num, s.den)
     calls = []
-    div = ckexpand.poly._either_div
+    div = ckexpand.poly.exact_div
 
     def counted_div(a, b):
         calls.append(1)
         return div(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ckexpand.poly, "_either_div", counted_div)
+        mp.setattr(ckexpand.poly, "exact_div", counted_div)
         neg = -s
     assert neg.num.terms == want.num.terms
     assert neg.den.terms == want.den.terms
