@@ -138,25 +138,31 @@ class ParamPoly(TermSum):
         return f"ParamPoly({self})"
 
 
-def _reduce(p: ParamPoly, basis) -> ParamPoly:
-    """A polynomial multiple of the full normal form of p against a list
-    of ParamPolys; the normal form itself when the basis is monic.
-
-    Works on one mutable term dict keyed by (total degree, exponents), so
-    the leading term is the largest key.  Each step cancels it with the
-    first basis element whose leading monomial divides it (tails are read
-    once per call) or moves it into the remainder.  A divisor whose
-    leading coefficient is one only cancels; any other multiplies the work
-    and the remainder by its leading coefficient.  No step divides, so no
-    fraction is formed, and an input with denominators is reduced exactly;
-    p itself comes back when no step was taken.
-    """
-    divisors = []
-    reduced = False
+def _divisors(basis):
+    """``_reduce``'s record of each element of basis: (leading exponents,
+    degree, coefficient, whether it is one, tail of (degree, exps, c))."""
+    records = []
     for b in basis:
         bkey, blc = b.leading()
         tail = [(sum(e), e, c) for e, c in b.terms.items() if e != bkey]
-        divisors.append((bkey, sum(bkey), blc, blc.is_one, tail))
+        records.append((bkey, sum(bkey), blc, blc.is_one, tail))
+    return records
+
+
+def _reduce(p: ParamPoly, divisors) -> ParamPoly:
+    """A polynomial multiple of the full normal form of p against the
+    ``_divisors`` of a basis; the normal form itself when it is monic.
+
+    Works on one mutable term dict keyed by (total degree, exponents), so
+    the leading term is the largest key.  Each step cancels it with the
+    first basis element whose leading monomial divides it or moves it into
+    the remainder.  A divisor whose leading coefficient is one only
+    cancels; any other multiplies the work and the remainder by its
+    leading coefficient.  No step divides, so no fraction is formed, and
+    an input with denominators is reduced exactly; p itself comes back
+    when no step was taken.
+    """
+    reduced = False
     work = {(sum(e), e): c for e, c in p.terms.items()}
     remainder = {}
     while work:
@@ -310,13 +316,13 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
         # p and its remainder generate the same ideal together with the
         # basis so far, and a zero remainder adds nothing
         if basis:
-            p = _reduce(p, basis)
+            p = _reduce(p, _divisors(basis))
         if not p.is_zero:
             add(p)
     while heap:
         (_, lcm), i, j = heapq.heappop(heap)
         s = _spoly(basis[i], basis[j], leads[i], leads[j], lcm)
-        s = _reduce(s, basis)
+        s = _reduce(s, _divisors(basis))
         if not s.is_zero:
             add(s)
     # minimal basis: drop every element whose leading monomial another
@@ -334,7 +340,7 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
     # so one pass and one division by each leading coefficient give the
     # unique reduced basis
     for i, b in enumerate(basis):
-        r = _reduce(b, basis[:i] + basis[i + 1 :])
+        r = _reduce(b, _divisors(basis[:i] + basis[i + 1 :]))
         basis[i] = r if r is b else _primitive(r)
     basis = sorted(map(_monic, basis), key=lambda b: grlex_key(b.leading()[0]))
     return RelationIdeal(unknowns=unknowns, generators=polys, groebner=basis)
@@ -343,10 +349,11 @@ def groebner_basis(gens, unknowns) -> RelationIdeal:
 def reduce_mod_ideal(p, ideal: RelationIdeal) -> ParamPoly:
     """Normal form of p against the ideal's Groebner basis, which must be
     monic, as ``groebner_basis`` makes it: ``_reduce`` never divides."""
-    for b in ideal.groebner:
-        if not b.leading()[1].is_one:
+    divisors = _divisors(ideal.groebner)
+    for b, (_, _, _, monic, _) in zip(ideal.groebner, divisors):
+        if not monic:
             raise ValueError(f"basis element {b} is not monic")
-    return _reduce(ParamPoly.coerce(p, ideal.unknowns), ideal.groebner)
+    return _reduce(ParamPoly.coerce(p, ideal.unknowns), divisors)
 
 
 def ideal_equals(a: RelationIdeal, b: RelationIdeal) -> bool:

@@ -3,44 +3,29 @@
 A multivariate polynomial is a dict mapping monomials to nonzero
 coefficients: ``int`` when integral, else ``poly.Rational`` (most
 coefficients are integers, and ``int`` arithmetic is much cheaper; the
-two mix exactly).  A monomial is a tuple of ``(symbol, exponent)`` pairs,
-sorted by symbol name, with all exponents positive; the empty tuple is
-the unit monomial.  ``Rational`` returns an ``int`` from every operation
-whose result is integral, so a sum like 1/2 + 1/2 is an ``int`` with no
-pass here.  A ``fractions.Fraction`` would stay a ``Fraction`` and need
-such a pass after every operation, so none reaches these functions:
-``poly._coeff`` converts one at the boundary.
+two mix exactly).  A monomial is one non-negative ``int`` of ``BITS``-bit
+fields: the total degree in the lowest field, then one field per symbol
+at the slot ``poly`` gives it; 0 is the unit monomial.  The top bit of
+each field is a guard that a monomial keeps clear, so a product is one
+int addition, which no field can carry out of, and a product whose
+degree sets the degree field's guard (``CARRY``) raises
+``ExponentOverflowError``.  ``Rational`` returns an ``int`` from every
+operation whose result is integral, so a sum like 1/2 + 1/2 is an
+``int`` with no pass here.  A ``fractions.Fraction`` would stay a
+``Fraction`` and need such a pass after every operation, so none reaches
+these functions: ``poly._coeff`` converts one at the boundary.
 """
 
 # recorded by the benchmark as ckexpand.KERNEL_IMPLEMENTATION
 IMPLEMENTATION = "python"
 
+BITS = 16
+CARRY = 1 << (BITS - 1)
 
-def mono_mul(a, b):
-    """Product of two monomials (merge of sorted (symbol, exponent) runs)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        sa, ea = a[i]
-        sb, eb = b[j]
-        if sa == sb:
-            out.append((sa, ea + eb))
-            i += 1
-            j += 1
-        elif sa < sb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+
+class ExponentOverflowError(OverflowError, ValueError):
+    """A monomial of total degree 2**(BITS - 1) or more: a value out of
+    range, so callers that refuse bad input refuse it too."""
 
 
 def terms_add(ta, tb):
@@ -74,7 +59,9 @@ def terms_mul(ta, tb):
     out = {}
     for ma, ca in ta.items():
         for mb, cb in tb.items():
-            mono = mono_mul(ma, mb)
+            mono = ma + mb
+            if mono & CARRY:
+                raise ExponentOverflowError(f"total degree over {CARRY - 1}")
             prod = ca * cb
             acc = out.get(mono)
             if acc is None:

@@ -4,17 +4,21 @@ Multivariate polynomials over arbitrary-precision rationals and fractions
 of such polynomials.  These are the coefficient domain for everything
 else: bracket tables, enveloping-algebra elements and constraint ideals.
 
-Monomials are sparse tuples of ``(symbol, exponent)`` pairs sorted by
-symbol; coefficients are ``int`` when integral, else ``Rational``, a
-slotted p/q whose every operation gives an ``int`` when integral.  Almost
-every coefficient the engine meets is an integer, and ``int`` arithmetic
-is many times cheaper than any fraction's.  A number from outside becomes
-a coefficient in ``_coeff`` alone, behind ``Poly.const``, ``Poly.scale``,
-``Scalar.const`` and ``as_scalar``; floats are refused there.  Past it no
-code makes or compares a ``fractions.Fraction``: its arithmetic goes
-through the ``numbers`` ABCs and properties at three to five times the
-cost, and importing it loads ``decimal`` on every cold start.  ``Poly``'s
-+, - and * take only Polys.  Polynomial values are immutable after
+Monomials are packed ints (``kernel``): the total degree in the lowest
+field, then one field per symbol at the slot ``_slot`` gives a name when
+it is first seen.  That table holds names only, and its order never
+shows: ``_exponents`` unpacks a monomial in name order, the one order of
+``Poly.leading``, the printed terms and ``variables()``.  Coefficients
+are ``int`` when integral, else ``Rational``, a slotted p/q whose every
+operation gives an ``int`` when integral.  Almost every coefficient the
+engine meets is an integer, and ``int`` arithmetic is many times cheaper
+than any fraction's.  A number from outside becomes a coefficient in
+``_coeff`` alone, behind ``Poly.const``, ``Poly.scale``, ``Scalar.const``
+and ``as_scalar``; floats are refused there.  Past it no code makes or
+compares a ``fractions.Fraction``: its arithmetic goes through the
+``numbers`` ABCs and properties at three to five times the cost, and
+importing it loads ``decimal`` on every cold start.  ``Poly``'s +, - and
+* take only Polys.  Polynomial values are immutable after
 construction and canonical, so equality is structural.
 Fractions (``Scalar``) are normalized by monomial and rational content
 (``monomial_content`` and ``rational_content``, the one content rule),
@@ -61,9 +65,8 @@ from __future__ import annotations
 import re
 from functools import total_ordering
 from math import gcd, lcm
-from operator import add, sub
 
-from .kernel import terms_add, terms_mul, terms_neg, terms_scale
+from .kernel import BITS, CARRY, terms_add, terms_mul, terms_neg, terms_scale
 
 __all__ = [
     "Poly",
@@ -87,15 +90,33 @@ class ScalarDivisionError(ZeroDivisionError):
     """Division by a zero polynomial fraction."""
 
 
-def _graded(mono, index):
-    """mono as (total degree, exponents in the frame of index), with index
-    counting from 1: such keys compare in graded-lex order and add under
-    multiplication."""
-    key = [0] * (len(index) + 1)
-    for sym, exp in mono:
-        key[index[sym]] = exp
-        key[0] += exp
-    return tuple(key)
+_FIELD = CARRY - 1  # the exponent bits of a field
+_SLOTS = {}  # symbol name -> bit offset of its field, in order first seen
+_NAMED = []  # (name, offset) of each slot, sorted by name
+_GUARDS = CARRY  # the guard bit of every field in use
+
+
+def _slot(name):
+    """The bit offset of name's field; a new name takes the next one."""
+    global _GUARDS
+    shift = _SLOTS.get(name)
+    if shift is None:
+        shift = _SLOTS[name] = BITS * (len(_SLOTS) + 1)
+        _NAMED.append((name, shift))
+        _NAMED.sort()
+        _GUARDS |= CARRY << shift
+    return shift
+
+
+def _exponents(mono):
+    """mono unpacked as (total degree, exponent of each symbol in name
+    order): such keys compare in graded-lex order by symbol name."""
+    return (mono & _FIELD, *[mono >> s & _FIELD for _, s in _NAMED])
+
+
+def _pairs(mono):
+    """The (symbol, exponent) pairs of mono, in name order."""
+    return [(sym, e) for (sym, _), e in zip(_NAMED, _exponents(mono)[1:]) if e]
 
 
 def grlex_key(exps):
@@ -228,20 +249,29 @@ def rational_content(coeffs):
 
 
 def monomial_content(monos):
-    """Largest monomial dividing every monomial of monos; () when none.
-    The running content is a sorted tuple, cut down pair by pair by each
-    further monomial: no dicts and no final sort."""
+    """Largest monomial dividing every monomial of monos; 0 when none.
+    Only a monomial that the running content does not divide cuts it
+    down: the guard bits mark the fields where the content is not the
+    smaller, those are taken from the monomial, and the sum of the
+    exponents so chosen is the new degree field."""
     it = iter(monos)
-    common = next(it, ())
+    common = next(it, 0)
     for mono in it:
         if not common:
             break
-        common = tuple([(s, min(e, f)) for s, e in common
-                        for t, f in mono if s == t])
+        if (mono - common) & _GUARDS:
+            ge = ((common | _GUARDS) - mono) & _GUARDS
+            low = ge - (ge >> (BITS - 1))
+            common = (mono & low | common & ~low) >> BITS
+            degree, rest = 0, common
+            while rest:
+                degree += rest & _FIELD
+                rest >>= BITS
+            common = common << BITS | degree
     return common
 
 
-_ONE_TERMS = {(): 1}
+_ONE_TERMS = {0: 1}
 
 
 class Poly:
@@ -257,11 +287,11 @@ class Poly:
     @classmethod
     def const(cls, value) -> "Poly":
         q = _coeff(value)
-        return cls({(): q} if q else {})
+        return cls({0: q} if q else {})
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
-        return cls({((name, 1),): 1})
+        return cls({(1 << _slot(name)) + 1: 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -274,11 +304,10 @@ class Poly:
         return self.terms == _ONE_TERMS
 
     def variables(self):
-        seen = set()
+        seen = 0
         for mono in self.terms:
-            for s, _ in mono:
-                seen.add(s)
-        return tuple(sorted(seen))
+            seen |= mono
+        return tuple([sym for sym, s in _NAMED if seen >> s & _FIELD])
 
     def content(self):
         """Positive rational content (gcd of all coefficients)."""
@@ -286,8 +315,7 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        index = {s: i for i, s in enumerate(self.variables(), 1)}
-        mono = max(self.terms, key=lambda m: _graded(m, index))
+        mono = max(self.terms, key=_exponents)
         return mono, self.terms[mono]
 
     # -- arithmetic -------------------------------------------------------
@@ -340,7 +368,7 @@ class Poly:
         total = Scalar.zero()
         for mono, coeff in self.terms.items():
             piece = Scalar.const(coeff)
-            for sym, exp in mono:
+            for sym, exp in _pairs(mono):
                 if sym in mapping:
                     val = as_scalar(mapping[sym])
                 else:
@@ -353,12 +381,8 @@ class Poly:
     # -- printing ---------------------------------------------------------
 
     def _sorted_terms(self):
-        index = {s: i for i, s in enumerate(self.variables(), 1)}
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: _graded(kv[0], index),
-            reverse=True,
-        )
+        return sorted(self.terms.items(), key=lambda kv: _exponents(kv[0]),
+                      reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -368,7 +392,7 @@ class Poly:
             factors = []
             if abs(coeff) != 1 or not mono:
                 factors.append(str(abs(coeff)))
-            for sym, exp in mono:
+            for sym, exp in _pairs(mono):
                 factors.append(sym if exp == 1 else f"{sym}^{exp}")
             body = "*".join(factors)
             if not parts:
@@ -386,60 +410,49 @@ ONE = Poly.const(1)
 
 
 def _mono_div(mono, content):
-    cut = dict(content)
-    out = []
-    for s, e in mono:
-        e -= cut.get(s, 0)
-        if e:
-            out.append((s, e))
-    return tuple(out)
+    return mono - content
 
 
 def exact_div(a: Poly, b: Poly):
     """Exact quotient a/b as a Poly, or None when b does not divide a.
 
-    The one polynomial long division.  Both polynomials are keyed by
-    ``_graded`` in one frame, the union of their variables, and each step
-    divides the largest remaining term by the leading term of b.  A
-    quotient key with a negative entry means that b does not divide a, and
-    it is also what ends the loop: the largest remainder key only goes
-    down, and no key goes negative.  Quotient terms are kept as keys and
-    become monomials only once the division succeeds.  There is no
+    The one polynomial long division, in the plain int order of packed
+    monomials: lex by slot, an admissible order, under which an exact
+    quotient is the one of any other.  Each step divides the largest
+    remaining term by the leading term of b.  A quotient monomial with a
+    guard bit set means that b does not divide a, and it is also what ends
+    the loop: the largest remainder monomial only goes down.  There is no
     monomial fast path: a monomial divisor just leaves no tail.
     """
     if b.is_zero:
         raise ScalarDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    frame = sorted({s for p in (a, b) for m in p.terms for s, _ in m})
-    index = {s: i for i, s in enumerate(frame, 1)}
-    rem = {_graded(m, index): c for m, c in a.terms.items()}
-    divisor = sorted([(_graded(m, index), c) for m, c in b.terms.items()],
-                     reverse=True)
-    bkey, bc = divisor[0]
-    tail = divisor[1:]
+    lead = max(b.terms)
+    bc = b.terms[lead]
+    tail = [(m, c) for m, c in b.terms.items() if m != lead]
     exact = type(bc) is int
-    quot = []
+    rem = dict(a.terms)
+    quot = {}
     while rem:
-        key = max(rem)
-        c = rem.pop(key)
-        qkey = tuple(map(sub, key, bkey))
-        if min(qkey) < 0:
+        mono = max(rem)
+        c = rem.pop(mono)
+        q = mono - lead
+        if q & _GUARDS:
             return None
         if exact and type(c) is int and not c % bc:
             qc = c // bc
         else:
             qc = _quotient(c, bc)
-        quot.append((qkey, qc))
-        for tkey, tc in tail:
-            k = tuple(map(add, tkey, qkey))
+        quot[q] = qc
+        for m, tc in tail:
+            k = m + q
             x = rem.get(k, 0) - qc * tc
             if x:
                 rem[k] = x
             else:
                 rem.pop(k, None)
-    return Poly({tuple([(s, e) for s, e in zip(frame, qkey[1:]) if e]): qc
-                 for qkey, qc in quot})
+    return Poly(quot)
 
 
 def _cancel(num: Poly, den: Poly):
@@ -465,7 +478,7 @@ def _cancel(num: Poly, den: Poly):
 def _value(terms):
     """The rational value of a constant polynomial's terms, else None."""
     if len(terms) == 1:
-        return terms.get(())
+        return terms.get(0)
     return None if terms else 0
 
 
@@ -484,10 +497,8 @@ def _unshared(num: Poly, den: Poly):
     common = monomial_content([*num.terms, *den.terms])
     if not common:
         return num, den
-    return tuple(
-        Poly({_mono_div(m, common): c for m, c in p.terms.items()})
-        for p in (num, den)
-    )
+    return tuple(Poly({m - common: c for m, c in p.terms.items()})
+                 for p in (num, den))
 
 
 def _over(num: Poly, den: Poly) -> "Scalar":
@@ -513,7 +524,7 @@ def _over(num: Poly, den: Poly) -> "Scalar":
 
 def _constant(q) -> "Scalar":
     """The Scalar of the int or Rational q."""
-    return _build(Poly({(): q}) if q else ZERO, ONE, q)
+    return _build(Poly({0: q}) if q else ZERO, ONE, q)
 
 
 class Scalar:
@@ -806,21 +817,15 @@ def split_symbols(value: Scalar, symbols) -> dict:
     its numerator terms leave over the denominator of value.  A symbol in
     the denominator raises ValueError.
     """
-    index = {s: i for i, s in enumerate(symbols)}
+    index = {s: _slot(s) for s in symbols}
     for sym in value.den.variables():
         if sym in index:
             raise ValueError(f"{sym!r} appears in a denominator: {value}")
     groups: dict = {}
     for mono, coeff in value.num.terms.items():
-        exps = [0] * len(index)
-        rest = []
-        for sym, e in mono:
-            i = index.get(sym)
-            if i is None:
-                rest.append((sym, e))
-            else:
-                exps[i] = e
-        groups.setdefault(tuple(exps), {})[tuple(rest)] = coeff
+        exps = tuple([mono >> s & _FIELD for s in index.values()])
+        mono -= sum([(e << s) + e for e, s in zip(exps, index.values())])
+        groups.setdefault(exps, {})[mono] = coeff
     den = value.den
     return {
         exps: _build(Poly(terms), ONE, _value(terms)) if den is ONE

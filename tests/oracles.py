@@ -20,8 +20,8 @@ from ckexpand.cli import (
 from ckexpand.groebner import ParamPoly
 from ckexpand.liealg import BUILTIN_NAMES
 from ckexpand.poly import (
-    ONE, Poly, Scalar, _coeff, _constant, _mono_div, add_term, exact_div,
-    grlex_key, monomial_content,
+    ONE, Poly, Scalar, _coeff, _constant, add_term, exact_div, grlex_key,
+    split_symbols,
 )
 from ckexpand.uea import UEAElement, _Span, uea_mul
 
@@ -159,6 +159,114 @@ def oracle_span_reducer(algebra, relations, bound):
     return lambda x: UEAElement(algebra, span.reduce(x.terms)[0])
 
 
+# -- polynomials over (symbol, exponent) tuples -------------------------------
+#
+# A tuple polynomial is {monomial: Fraction}, each monomial a tuple of
+# (symbol, exponent) pairs sorted by symbol with positive exponents.  This
+# code never reads the engine's own monomials: ``to_poly`` builds a Poly
+# with Poly.symbol, Poly.const, ** and +, and ``tuple_terms`` reads one
+# back through ``split_symbols``.
+
+
+def to_poly(terms):
+    """The engine Poly of a tuple polynomial."""
+    total = Poly()
+    for mono, coeff in terms.items():
+        piece = Poly.const(coeff)
+        for sym, e in mono:
+            piece = piece * Poly.symbol(sym) ** e
+        total = total + piece
+    return total
+
+
+def tuple_terms(p: Poly):
+    """The tuple polynomial of an engine Poly."""
+    names = p.variables()
+    return {
+        tuple((s, e) for s, e in zip(names, exps) if e):
+            Fraction(c.value.numerator, c.value.denominator)
+        for exps, c in split_symbols(Scalar(p), names).items()
+    }
+
+
+def tuple_mono_mul(a, b):
+    """Product of two monomials, merging exponent dicts."""
+    merged = dict(a)
+    for sym, e in b:
+        merged[sym] = merged.get(sym, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def tuple_mul(a, b):
+    """Product of two tuple polynomials."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple_mono_mul(ma, mb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def tuple_content(monos):
+    """The least exponent of each symbol that every monomial has."""
+    exponents = [dict(m) for m in monos]
+    if not exponents:
+        return ()
+    shared = set(exponents[0]).intersection(*exponents)
+    return tuple(sorted((s, min(e[s] for e in exponents)) for s in shared))
+
+
+def tuple_mono_div(mono, divisor):
+    """mono / divisor, or None when divisor does not divide mono."""
+    exps = dict(mono)
+    for sym, e in divisor:
+        exps[sym] = exps.get(sym, 0) - e
+    if min(exps.values(), default=0) < 0:
+        return None
+    return tuple(sorted((s, e) for s, e in exps.items() if e))
+
+
+def tuple_key(terms):
+    """A graded-lex key by symbol name for the monomials of terms."""
+    names = sorted({s for m in terms for s, _ in m})
+    return lambda m: grlex_key(tuple(dict(m).get(s, 0) for s in names))
+
+
+def tuple_div(a, b):
+    """a/b by long division in graded-lex order by name, or None when b
+    leaves a remainder."""
+    key = tuple_key([*a, *b])
+    lead = max(b, key=key)
+    rem, quot = dict(a), {}
+    while rem:
+        mono = max(rem, key=key)
+        q = tuple_mono_div(mono, lead)
+        if q is None:
+            return None
+        qc = rem[mono] / b[lead]
+        quot[q] = qc
+        for m, c in b.items():
+            k = tuple_mono_mul(m, q)
+            rem[k] = rem.get(k, 0) - qc * c
+            if not rem[k]:
+                del rem[k]
+    return quot
+
+
+def tuple_str(terms):
+    """The text of a tuple polynomial as Poly prints it: terms by
+    descending graded-lex order by name, factors in name order."""
+    parts = []
+    for mono in sorted(terms, key=tuple_key(terms), reverse=True):
+        coeff = terms[mono]
+        factors = [str(abs(coeff))] if abs(coeff) != 1 or not mono else []
+        factors += [s if e == 1 else f"{s}^{e}" for s, e in mono]
+        sign = ("-" if coeff < 0 else "") if not parts else (
+            "- " if coeff < 0 else "+ ")
+        parts.append(sign + "*".join(factors))
+    return " ".join(parts) or "0"
+
+
 # -- the earlier cancellation rules of Scalar -------------------------------
 #
 # Every exact division is tried, whatever the number of terms.  Scalar
@@ -186,12 +294,10 @@ def oracle_scalar(num, den=ONE):
     exactly divides the other, then rational content and sign."""
     if num.is_zero or den.is_one:
         return Scalar(num)
-    nc = dict(monomial_content(num.terms))
-    common = tuple(sorted(
-        (s, min(e, nc[s])) for s, e in monomial_content(den.terms) if s in nc
-    ))
-    num = Poly({_mono_div(m, common): c for m, c in num.terms.items()})
-    den = Poly({_mono_div(m, common): c for m, c in den.terms.items()})
+    num, den = tuple_terms(num), tuple_terms(den)
+    common = tuple_content([*num, *den])
+    num, den = (to_poly({tuple_mono_div(m, common): c for m, c in p.items()})
+                for p in (num, den))
     if not den.is_one:
         num, den = _old_cancel(num, den)
     return _settled(num, den)
@@ -255,7 +361,7 @@ def to_sympy(s: Scalar):
         return sympy.Add(*(
             sympy.Rational(c.numerator, c.denominator)
             * sympy.Mul(*(sympy.Symbol(sym) ** e for sym, e in mono))
-            for mono, c in p.terms.items()
+            for mono, c in tuple_terms(p).items()
         ))
 
     return poly(s.num) / poly(s.den)
@@ -273,7 +379,7 @@ def to_sympy_field(field, s: Scalar):
         return field(field.ring({
             tuple(dict(mono).get(name, 0) for name in names):
                 qq(c.numerator, c.denominator)
-            for mono, c in p.terms.items()
+            for mono, c in tuple_terms(p).items()
         }))
 
     return poly(s.num) / poly(s.den)

@@ -620,6 +620,11 @@ MALFORMED = {
         "error: bracket '[H,P1]': bad character '$' at position 4 of "
         "expression 'P1 $ 2'",
     ),
+    "exponent-over-the-limit": (
+        {"generators": ["H", "P1"], "parameters": ["w1"],
+         "brackets": {"[H,P1]": "w1^40000*P1"}},
+        "error: bracket '[H,P1]': total degree over 32767",
+    ),
     "non-integer-exponent": (
         {"generators": ["H", "P1"], "parameters": ["w1"],
          "brackets": {"[H,P1]": "P1^w1"}},

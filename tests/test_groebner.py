@@ -607,6 +607,7 @@ def test_inputs_are_coerced_to_param_polys_in_the_ideal_unknowns():
 CONTENT_RULE = {
     "rational_content": "_content",
     "monomial_content": "_content",
+    "_mono_div": "_over_content",
     "_content": "_primitive",
     "_over_content": "_primitive",
 }

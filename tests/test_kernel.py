@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import ckexpand
 from ckexpand import kernel
 from ckexpand.poly import _coeff
@@ -13,20 +15,26 @@ from ckexpand.poly import _coeff
 SPANS = Path(__file__).resolve().parent.parent / "ckbench" / "spans.py"
 
 
-# coefficients as the engine holds them: each number read by _coeff
-A = {(("x", 1),): _coeff(Fraction(2)), (("y", 2),): _coeff(Fraction(-1, 3))}
-B = {(): _coeff(Fraction(1)), (("x", 1), ("y", 1)): _coeff(Fraction(5))}
+# coefficients as the engine holds them, each number read by _coeff, and
+# packed monomials: x and y in the first two symbol fields above the degree
+X, Y = (1 << kernel.BITS) + 1, (1 << 2 * kernel.BITS) + 1
+A = {X: _coeff(Fraction(2)), 2 * Y: _coeff(Fraction(-1, 3))}
+B = {0: _coeff(Fraction(1)), X + Y: _coeff(Fraction(5))}
 
 
 def test_pure_python_kernel():
     assert kernel.terms_mul(A, B) == {
-        (("x", 1),): 2,
-        (("x", 2), ("y", 1)): 10,
-        (("y", 2),): _coeff(Fraction(-1, 3)),
-        (("x", 1), ("y", 3)): _coeff(Fraction(-5, 3)),
+        X: 2,
+        2 * X + Y: 10,
+        2 * Y: _coeff(Fraction(-1, 3)),
+        X + 3 * Y: _coeff(Fraction(-5, 3)),
     }
     assert kernel.terms_add(A, kernel.terms_neg(A)) == {}
     assert kernel.terms_scale(B, _coeff(Fraction(0))) == {}
+    # x^(2^15 - 1) times x carries out of the degree field
+    top = {(kernel.CARRY - 1) * X: 1}
+    with pytest.raises(kernel.ExponentOverflowError):
+        kernel.terms_mul(top, {X: 1})
 
 
 def test_benchmark_names():

@@ -2,7 +2,10 @@
 
 import ast
 import operator
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -18,13 +21,19 @@ from oracles import (
     oracle_mul,
     oracle_scalar,
     oracle_sum,
+    to_poly,
     to_sympy,
     to_sympy_field,
+    tuple_content,
+    tuple_div,
+    tuple_mul,
+    tuple_str,
+    tuple_terms,
 )
 
 from ckexpand.expand import make_problem
 from ckexpand.groebner import ParamPoly, _monic
-from ckexpand.kernel import terms_mul
+from ckexpand.kernel import ExponentOverflowError, terms_mul
 from ckexpand.liealg import _scalar_sign, make_ck_algebra
 from ckexpand.poly import (
     ONE,
@@ -32,7 +41,6 @@ from ckexpand.poly import (
     Rational,
     Scalar,
     ScalarDivisionError,
-    _coeff,
     add_term,
     as_scalar,
     exact_div,
@@ -46,22 +54,15 @@ from ckexpand.uea import UEAElement, parse_element
 SYMBOLS = ("x", "y", "z")
 
 
-# -- naive reference implementation ----------------------------------------
+# -- the (symbol, exponent) tuple oracle -------------------------------------
 #
-# Multiplication oracle kept deliberately dumb: monomials are dicts of
-# exponents, products merge them with explicit loops.
+# Polynomials are drawn as tuple polynomials (tests/oracles.py), whose
+# arithmetic never reads the engine's packed monomials, and enter the
+# engine through to_poly.
 
 
 def naive_mul(a: Poly, b: Poly) -> Poly:
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            merged = dict(ma)
-            for sym, e in mb:
-                merged[sym] = merged.get(sym, 0) + e
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, 0) + ca * cb
-    return Poly({k: v for k, v in out.items() if v})
+    return to_poly(tuple_mul(tuple_terms(a), tuple_terms(b)))
 
 
 monomials = st.builds(
@@ -70,26 +71,85 @@ monomials = st.builds(
         st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 3)), max_size=3
     ),
 )
-# plain ints too: the engine mixes int and Rational coefficients, and
-# _coeff makes each the one the engine holds, as Poly requires of its terms
-coeffs = (
-    st.one_of(
-        st.integers(-5, 5),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
-    )
-    .filter(lambda q: q != 0)
-    .map(_coeff)
-)
-polys = st.builds(
-    lambda terms: Poly(dict(terms)),
-    st.lists(st.tuples(monomials, coeffs), max_size=4).map(dict),
-)
+# integral values too: _coeff makes each the int or Rational the engine
+# holds, as Poly requires of its terms
+coeffs = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+).filter(lambda q: q != 0)
+tuple_polys = st.lists(st.tuples(monomials, coeffs), max_size=4).map(dict)
+polys = tuple_polys.map(to_poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_tuple_polys = tuple_polys.filter(bool)
 
 
-@given(polys, polys)
+def test_names_registered_out_of_order_print_and_lead_by_name():
+    # each symbol takes a slot when first seen, so later names can sort
+    # before earlier ones; the slot order must never show
+    p = parse_scalar("zz_b*zz_a^2 + zz_c^3 + zz_a*zz_c + 2*zz_b^2").num
+    assert p.variables() == ("zz_a", "zz_b", "zz_c")
+    assert str(p) == "zz_a^2*zz_b + zz_c^3 + zz_a*zz_c + 2*zz_b^2"
+    assert p.leading() == parse_scalar("zz_a^2*zz_b").num.leading()
+    assert str(p) == tuple_str(tuple_terms(p))
+
+
+ATLAS_JSON = """
+import json, sys
+from ckexpand.expand import run_atlas
+from ckexpand.poly import Poly
+for name in sys.argv[1:]:
+    Poly.symbol(name)
+print(json.dumps([r.to_json_dict() for r in run_atlas()]))
+"""
+
+
+def test_the_atlas_does_not_depend_on_the_order_names_are_first_seen():
+    import ckexpand.poly
+
+    src = Path(ckexpand.poly.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    names = ["a1", "a2", "c1", "c2", "m", "w1", "w2", "xi",
+             "H", "J", "K1", "K2", "P1", "P2"]
+    outputs = [
+        subprocess.run([sys.executable, "-c", ATLAS_JSON, *first], env=env,
+                       capture_output=True, timeout=300, check=True).stdout
+        for first in ([], sorted(names, reverse=True))
+    ]
+    assert outputs[0] == outputs[1] and b'"arrow"' in outputs[0]
+
+
+def test_an_exponent_carry_raises():
+    x = Poly.symbol("x")
+    top = x ** (2 ** 15 - 1)
+    assert str(top) == f"x^{2 ** 15 - 1}" and top.variables() == ("x",)
+    with pytest.raises(ExponentOverflowError):
+        x ** 2 ** 15
+    with pytest.raises(ExponentOverflowError):
+        top * Poly.symbol("y")
+
+
+@given(tuple_polys, tuple_polys)
 def test_mul_matches_naive_oracle(a, b):
-    assert (a * b).terms == naive_mul(a, b).terms
+    assert tuple_terms(to_poly(a)) == a
+    assert tuple_terms(to_poly(a) * to_poly(b)) == tuple_mul(a, b)
+
+
+@given(tuple_polys)
+def test_printed_text_matches_the_tuple_oracle(a):
+    assert str(to_poly(a)) == tuple_str(a)
+
+
+@given(tuple_polys, nonzero_tuple_polys, tuple_polys)
+def test_exact_division_matches_the_tuple_oracle_both_ways(a, b, r):
+    for num in (a, tuple_mul(a, b), {**tuple_mul(a, b), **r}):
+        num = {m: c for m, c in num.items() if c}
+        for n, d in ((num, b), (b, num)):
+            if d:
+                got = exact_div(to_poly(n), to_poly(d))
+                want = tuple_div(n, d)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert tuple_terms(got) == want
 
 
 @given(polys, polys, polys)
@@ -221,15 +281,6 @@ def test_a_product_with_the_shared_one_is_the_other_factor(a):
     assert ONE * ONE is ONE
 
 
-def naive_content(monos):
-    """The least exponent of each symbol that every monomial has."""
-    exponents = [dict(m) for m in monos]
-    if not exponents:
-        return ()
-    shared = set(exponents[0]).intersection(*exponents)
-    return tuple(sorted((s, min(e[s] for e in exponents)) for s in shared))
-
-
 @given(st.lists(monomials, max_size=5), st.lists(st.integers(0, 9),
                                                   max_size=4))
 @example([], [])
@@ -237,12 +288,13 @@ def naive_content(monos):
 @example([(("x", 2), ("y", 1)), ()], [0, 0])
 @example([(("x", 2), ("y", 1)), (("x", 1), ("z", 1))], [1, 0, 0])
 def test_monomial_content_is_the_least_shared_exponent(monos, repeats):
-    # repeats puts the very objects of monos in again, the first one too
-    monos = monos + [monos[i % len(monos)] for i in repeats if monos]
-    want = naive_content(monos)
-    assert monomial_content(monos) == want
+    packed = [next(iter(to_poly({m: 1}).terms)) for m in monos]
+    # repeats puts the very objects of packed in again, the first one too
+    packed += [packed[i % len(packed)] for i in repeats if packed]
+    want = tuple_content(monos)
+    assert tuple_terms(Poly({monomial_content(packed): 1})) == {want: 1}
     # a generator, as ParamPoly.normalized passes
-    assert monomial_content(m for m in monos) == want
+    assert monomial_content(m for m in packed) == monomial_content(packed)
 
 
 def test_constant_arithmetic_never_reaches_the_polynomials():
@@ -261,7 +313,7 @@ def test_constant_arithmetic_never_reaches_the_polynomials():
     assert [r.value for r in results] == [
         Rational(7, 2), Rational(-5, 2), Rational(3, 2), 6, 1, 0
     ]
-    assert type(results[4].value) is int and results[4].num.terms == {(): 1}
+    assert type(results[4].value) is int and results[4].num.is_one
     assert zero and results[5].num.is_zero and results[5].den.is_one
     assert parse_scalar("x").value is None
     assert parse_scalar("x/x").value == 1
@@ -377,10 +429,13 @@ def test_inverse_swaps_the_pair_without_dividing(s):
 
 # -- one polynomial division -------------------------------------------------
 
-# the graded keys and the long division, and the definitions that may use
-# each: a second division would need keys of its own
+# the name-order key, the guard bits that test divisibility and the long
+# division, and the definitions that may use each: a second division or a
+# second order would need names of its own
 DIVISION_USERS = {
-    "_graded": {"poly.Poly.leading", "poly.Poly._sorted_terms",
+    "_exponents": {"poly._pairs", "poly.Poly.leading",
+                   "poly.Poly._sorted_terms"},
+    "_GUARDS": {"poly", "poly._slot", "poly.monomial_content",
                 "poly.exact_div"},
     "exact_div": {"poly._cancel", "poly.Scalar._sum", "groebner._primitive"},
 }
@@ -418,7 +473,7 @@ def _random_poly(rng, size):
             (sym, e) for sym in SYMBOLS if (e := rng.choice((0, 0, 1, 2)))
         )
         terms[mono] = terms.get(mono, 0) + rng.choice(PLANT_COEFFS)
-    return Poly({m: c for m, c in terms.items() if c}) or Poly.const(1)
+    return to_poly({m: c for m, c in terms.items() if c}) or Poly.const(1)
 
 
 def _shared(rng, k):
@@ -578,8 +633,8 @@ def test_every_result_with_denominator_one_holds_the_shared_one(a, b, syms):
         results += [a._scaled(q) for q in factors]
     for r in results:
         assert r.den is ONE or not r.den.is_one, r
-        if r.den is ONE and set(r.num.terms) <= {()}:
-            assert r.value == r.num.terms.get((), 0), r
+        if r.den is ONE and not r.num.variables():
+            assert r.value is not None and r.num == Poly.const(r.value), r
         else:
             assert r.value is None, r
         if r.den is not ONE:
@@ -658,9 +713,10 @@ def test_polynomial_scalars_stay_polynomial(a, b):
 
 def test_exact_division_quotient_is_a_fraction_not_a_float():
     quotient = exact_div(Poly.const(1), Poly.const(2))
-    assert quotient.terms == {(): Rational(1, 2)}
-    assert type(quotient.terms[()]) is Rational
-    assert type(exact_div(Poly.const(2), Poly.const(2)).terms[()]) is int
+    assert quotient == Poly.const(Rational(1, 2))
+    assert [type(c) for c in quotient.terms.values()] == [Rational]
+    one = exact_div(Poly.const(2), Poly.const(2))
+    assert [type(c) for c in one.terms.values()] == [int]
 
 
 def test_integral_numbers_enter_a_poly_as_ints():
@@ -686,8 +742,8 @@ def test_integral_numbers_enter_a_poly_as_ints():
 # the ways a number from outside becomes a coefficient: each reads it
 # through _coeff
 BOUNDARY = {
-    "Poly.const": lambda q: Poly.const(q).terms[()],
-    "Poly.scale": lambda q: Poly.symbol("x").scale(q).terms[(("x", 1),)],
+    "Poly.const": lambda q: Poly.const(q).leading()[1],
+    "Poly.scale": lambda q: Poly.symbol("x").scale(q).leading()[1],
     "Scalar.const": lambda q: Scalar.const(q).value,
     "as_scalar": lambda q: as_scalar(q).value,
 }
@@ -724,14 +780,17 @@ def test_floats_are_refused():
 
 @given(polys.filter(lambda p: not p.is_zero))
 def test_leading_matches_the_dense_frame_formula(a):
+    terms = tuple_terms(a)
+
     def dense(mono):
         exps = dict(mono)
         return tuple(exps.get(s, 0) for s in a.variables())
 
-    mono = max(a.terms, key=lambda m: grlex_key(dense(m)))
-    assert a.leading() == (mono, a.terms[mono])
-    order = sorted(a.terms, key=lambda m: grlex_key(dense(m)), reverse=True)
-    assert [m for m, _ in a._sorted_terms()] == order
+    mono = max(terms, key=lambda m: grlex_key(dense(m)))
+    assert tuple_terms(Poly(dict([a.leading()]))) == {mono: terms[mono]}
+    order = sorted(terms, key=lambda m: grlex_key(dense(m)), reverse=True)
+    assert [tuple_terms(Poly({m: c})) for m, c in a._sorted_terms()] == [
+        {m: terms[m]} for m in order]
 
 
 def test_exact_division_rejects_remainder():
